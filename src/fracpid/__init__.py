@@ -7,130 +7,21 @@ transformation, and compares single-stage against two-stage designs by
 control cost and controller effort.
 """
 
-from .fractional_map import (
-    OutsideWedge,
-    RealZeros,
-    WedgeClass,
-    WZeros,
-    classify_wedge,
-    equivalent_pid,
-    s_zeros,
-    w_zeros,
-)
-from .lqr_inverse import (
-    IndefiniteWeights,
-    RiccatiPackage,
-    StateSpace3,
-    UnstableGains,
-    care_residual,
-    cost_for_initial_state,
-    delta_p_eigenvalues,
-    gains_from_p,
-    p_from_gains,
-    p_third_row,
-    q_from_p,
-    riccati_package,
-    system_matrices,
-)
-from .numerics import (
-    ConvergenceFailure,
-    Cubic,
-    DegenerateLeadingCoefficient,
-    NonFiniteState,
-    RootTriple,
-    Sym3,
-    eig_sym3,
-    integrate_fixed_step,
-    solve_cubic,
-)
-from .pole_placement import (
-    ClosedLoopTarget,
-    DominanceWarning,
-    MStudyRecord,
-    NonPositiveGain,
-    PidGains,
-    Plant,
-    PoleReport,
-    UnstableClosedLoop,
-    closed_loop_characteristic,
-    closed_loop_poles,
-    desired_characteristic,
-    m_study,
-    place_gains,
-)
-from .simulate import (
-    InvalidScenario,
-    ResponseMetrics,
-    ScenarioSpec,
-    Trace,
-    default_scenario,
-    metrics,
-    simulate_closed_loop,
-)
-from .tuner import (
-    MCurvePoint,
-    TargetUnreachable,
-    TuningReport,
-    mcurve,
-    two_stage_tune,
-)
+from . import fractional_map, lqr_inverse, numerics, pole_placement, simulate, tuner
+from .fractional_map import *  # noqa: F401,F403
+from .lqr_inverse import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .pole_placement import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .tuner import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClosedLoopTarget",
-    "ConvergenceFailure",
-    "Cubic",
-    "DegenerateLeadingCoefficient",
-    "DominanceWarning",
-    "IndefiniteWeights",
-    "InvalidScenario",
-    "MCurvePoint",
-    "MStudyRecord",
-    "NonFiniteState",
-    "NonPositiveGain",
-    "OutsideWedge",
-    "PidGains",
-    "Plant",
-    "PoleReport",
-    "RealZeros",
-    "ResponseMetrics",
-    "RiccatiPackage",
-    "RootTriple",
-    "ScenarioSpec",
-    "StateSpace3",
-    "Sym3",
-    "TargetUnreachable",
-    "Trace",
-    "TuningReport",
-    "UnstableClosedLoop",
-    "UnstableGains",
-    "WZeros",
-    "WedgeClass",
-    "care_residual",
-    "classify_wedge",
-    "closed_loop_characteristic",
-    "closed_loop_poles",
-    "cost_for_initial_state",
-    "default_scenario",
-    "delta_p_eigenvalues",
-    "desired_characteristic",
-    "eig_sym3",
-    "equivalent_pid",
-    "gains_from_p",
-    "integrate_fixed_step",
-    "m_study",
-    "mcurve",
-    "metrics",
-    "p_from_gains",
-    "p_third_row",
-    "place_gains",
-    "q_from_p",
-    "riccati_package",
-    "s_zeros",
-    "simulate_closed_loop",
-    "solve_cubic",
-    "system_matrices",
-    "two_stage_tune",
-    "w_zeros",
-]
+__all__ = (
+    fractional_map.__all__
+    + lqr_inverse.__all__
+    + numerics.__all__
+    + pole_placement.__all__
+    + simulate.__all__
+    + tuner.__all__
+)

@@ -2,7 +2,8 @@
 
 Configuration comes from named presets and/or an INI-style config file with
 ``[plant]``, ``[target]``, ``[tune]``, ``[qgrid]``, ``[scenario]``,
-``[gains]``, and ``[gains2]`` sections; command-line flags override both.
+``[gains]``, ``[gains2]``, and ``[output]`` sections; command-line flags
+override both.
 Unknown sections or keys are hard errors so regression fixtures stay exact.
 All numeric output uses 6 significant digits and is byte-deterministic.
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -105,23 +108,6 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_SECTION_KEYS = {
-    "plant": {"k", "zeta_ol", "omega_n_ol"},
-    "target": {"zeta_cl", "omega_n_cl", "m"},
-    "tune": {"desired_zeta", "q_step", "r", "refine"},
-    "qgrid": {"q_from", "q_to", "q_step"},
-    "scenario": {
-        "t_end",
-        "dt",
-        "step_amplitude",
-        "disturbance_amplitude",
-        "disturbance_time",
-    },
-    "gains": {"kp", "ki", "kd"},
-    "gains2": {"kp", "ki", "kd"},
-    "output": {"path"},
-}
-
 
 def fmt(x: float) -> str:
     """Fixed 6-significant-digit formatting for all numeric output."""
@@ -134,9 +120,12 @@ def _fmt_gains(g: PidGains) -> str:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_bool(section: str, key: str, raw: str) -> bool:
@@ -146,6 +135,42 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"[{section}] {key}: not a boolean: {raw!r}")
+
+
+def _parse_str(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+def _floats(*keys: str) -> tuple:
+    return tuple((key, key, _parse_float) for key in keys)
+
+
+# Config sections in the order they are parsed, each with the object it
+# builds (or None) and its (key, attribute, parser) rows in parse order. A
+# section that builds an object passes each key as the constructor argument
+# of that name and sets the RunConfig attribute named after the section;
+# otherwise each key sets its own RunConfig attribute.
+_SCHEMA = {
+    "plant": (Plant, _floats("k", "zeta_ol", "omega_n_ol")),
+    "target": (ClosedLoopTarget, _floats("zeta_cl", "omega_n_cl", "m")),
+    "tune": (
+        None,
+        (
+            ("desired_zeta", "desired_zeta", _parse_float),
+            ("q_step", "tune_q_step", _parse_float),
+            ("r", "r", _parse_float),
+            ("refine", "refine", _parse_bool),
+        ),
+    ),
+    "qgrid": (None, _floats("q_from", "q_to", "q_step")),
+    "scenario": (
+        None,
+        _floats("t_end", "dt", "step_amplitude", "disturbance_amplitude", "disturbance_time"),
+    ),
+    "gains": (PidGains, _floats("kp", "ki", "kd")),
+    "gains2": (PidGains, _floats("kp", "ki", "kd")),
+    "output": (None, (("path", "out", _parse_str),)),
+}
 
 
 def _load_config_file(path: str, cfg: RunConfig) -> None:
@@ -160,91 +185,32 @@ def _load_config_file(path: str, cfg: RunConfig) -> None:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
+        known = {key for key, _attr, _parse in _SCHEMA[section][1]}
         for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def grab(section: str) -> dict[str, str]:
-        return dict(parser[section]) if parser.has_section(section) else {}
-
-    plant_raw = grab("plant")
-    if plant_raw:
-        missing = _SECTION_KEYS["plant"] - plant_raw.keys()
-        if missing:
-            raise ConfigError(f"[plant] missing keys: {sorted(missing)}")
-        cfg.plant = Plant(
-            k=_parse_float("plant", "k", plant_raw["k"]),
-            zeta_ol=_parse_float("plant", "zeta_ol", plant_raw["zeta_ol"]),
-            omega_n_ol=_parse_float("plant", "omega_n_ol", plant_raw["omega_n_ol"]),
-        )
-
-    target_raw = grab("target")
-    if target_raw:
-        if "zeta_cl" not in target_raw or "omega_n_cl" not in target_raw:
-            raise ConfigError("[target] needs zeta_cl and omega_n_cl")
-        cfg.target = ClosedLoopTarget(
-            zeta_cl=_parse_float("target", "zeta_cl", target_raw["zeta_cl"]),
-            omega_n_cl=_parse_float("target", "omega_n_cl", target_raw["omega_n_cl"]),
-            m=_parse_float("target", "m", target_raw.get("m", "10")),
-        )
-
-    tune_raw = grab("tune")
-    if "desired_zeta" in tune_raw:
-        cfg.desired_zeta = _parse_float("tune", "desired_zeta", tune_raw["desired_zeta"])
-    if "q_step" in tune_raw:
-        cfg.tune_q_step = _parse_float("tune", "q_step", tune_raw["q_step"])
-    if "r" in tune_raw:
-        cfg.r = _parse_float("tune", "r", tune_raw["r"])
-    if "refine" in tune_raw:
-        cfg.refine = _parse_bool("tune", "refine", tune_raw["refine"])
-
-    qgrid_raw = grab("qgrid")
-    if "q_from" in qgrid_raw:
-        cfg.q_from = _parse_float("qgrid", "q_from", qgrid_raw["q_from"])
-    if "q_to" in qgrid_raw:
-        cfg.q_to = _parse_float("qgrid", "q_to", qgrid_raw["q_to"])
-    if "q_step" in qgrid_raw:
-        cfg.q_step = _parse_float("qgrid", "q_step", qgrid_raw["q_step"])
-
-    scenario_raw = grab("scenario")
-    if "t_end" in scenario_raw:
-        cfg.t_end = _parse_float("scenario", "t_end", scenario_raw["t_end"])
-    if "dt" in scenario_raw:
-        cfg.dt = _parse_float("scenario", "dt", scenario_raw["dt"])
-    if "step_amplitude" in scenario_raw:
-        cfg.step_amplitude = _parse_float(
-            "scenario", "step_amplitude", scenario_raw["step_amplitude"]
-        )
-    if "disturbance_amplitude" in scenario_raw:
-        cfg.disturbance_amplitude = _parse_float(
-            "scenario", "disturbance_amplitude", scenario_raw["disturbance_amplitude"]
-        )
-    if "disturbance_time" in scenario_raw:
-        cfg.disturbance_time = _parse_float(
-            "scenario", "disturbance_time", scenario_raw["disturbance_time"]
-        )
-
-    for section, attr in (("gains", "gains"), ("gains2", "gains2")):
-        raw = grab(section)
-        if raw:
-            missing = _SECTION_KEYS[section] - raw.keys()
-            if missing:
-                raise ConfigError(f"[{section}] missing keys: {sorted(missing)}")
-            setattr(
-                cfg,
-                attr,
-                PidGains(
-                    kp=_parse_float(section, "kp", raw["kp"]),
-                    ki=_parse_float(section, "ki", raw["ki"]),
-                    kd=_parse_float(section, "kd", raw["kd"]),
-                ),
+    for section, (build, rows) in _SCHEMA.items():
+        raw = dict(parser[section]) if parser.has_section(section) else {}
+        if build is None:
+            for key, attr, parse in rows:
+                if key in raw:
+                    setattr(cfg, attr, parse(section, key, raw[key]))
+        elif raw:
+            # keys the constructor gives no default for are required
+            missing = sorted(
+                f.name
+                for f in dataclasses.fields(build)
+                if f.default is dataclasses.MISSING and f.name not in raw
             )
-
-    output_raw = grab("output")
-    if "path" in output_raw:
-        cfg.out = output_raw["path"]
+            if missing and section == "target":
+                raise ConfigError("[target] needs zeta_cl and omega_n_cl")
+            if missing:
+                raise ConfigError(f"[{section}] missing keys: {missing}")
+            args = {attr: parse(section, key, raw[key]) for key, attr, parse in rows if key in raw}
+            setattr(cfg, section, build(**args))
 
 
 def _apply_preset(name: str, cfg: RunConfig) -> None:
@@ -282,6 +248,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         ("out", "out"),
     ):
         value = getattr(args, flag, None)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{flag.replace('_', '-')}: not a finite number: {value!r}")
         if value is not None:
             setattr(cfg, attr, value)
     if getattr(args, "refine", False):
@@ -298,9 +266,10 @@ def _parse_gains_flag(raw: str) -> PidGains:
     if len(parts) != 3:
         raise ConfigError(f"--gains expects kp,ki,kd; got {raw!r}")
     try:
-        return PidGains(*(float(p) for p in parts))
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"--gains values are not numbers: {raw!r}") from exc
+    return PidGains(*values)
 
 
 def _require_plant(cfg: RunConfig) -> Plant:

@@ -18,7 +18,6 @@ __all__ = [
     "RootTriple",
     "Sym3",
     "DegenerateLeadingCoefficient",
-    "ConvergenceFailure",
     "NonFiniteState",
     "solve_cubic",
     "eig_sym3",
@@ -30,10 +29,6 @@ _TWO_PI = 2.0 * math.pi
 
 class DegenerateLeadingCoefficient(ValueError):
     """Leading cubic coefficient is numerically zero."""
-
-
-class ConvergenceFailure(RuntimeError):
-    """Eigenvalue sweep failed to reach tolerance within the iteration cap."""
 
 
 class NonFiniteState(RuntimeError):
@@ -248,47 +243,10 @@ def solve_cubic(c: Cubic) -> RootTriple:
     return RootTriple((roots[0], roots[1], roots[2]))
 
 
-def eig_sym3(
-    m: Sym3, return_vectors: bool = False
-) -> tuple[float, float, float] | tuple[tuple[float, float, float], np.ndarray]:
-    """Eigenvalues of a symmetric 3x3 matrix, ascending, by cyclic Jacobi.
-
-    Off-diagonal norm tolerance is 1e-12 times the Frobenius norm, with a cap
-    of 100 sweeps. With ``return_vectors=True`` also returns the orthonormal
-    eigenvector matrix (eigenvectors in columns, matching the value order).
-    """
-    a = m.as_matrix()
-    v = np.eye(3)
-    norm = float(np.linalg.norm(a))
-    tol = 1e-12 * norm
-
-    for _ in range(100):
-        off = math.sqrt(2.0 * (a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2))
-        if off <= tol:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-            cos_r = 1.0 / math.sqrt(1.0 + t * t)
-            sin_r = t * cos_r
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = cos_r
-            rot[p, q] = sin_r
-            rot[q, p] = -sin_r
-            a = rot.T @ a @ rot
-            a[p, q] = a[q, p] = 0.0
-            v = v @ rot
-    else:
-        raise ConvergenceFailure("Jacobi sweep cap exceeded for 3x3 matrix")
-
-    order = np.argsort(np.diag(a))
-    values = tuple(float(a[i, i]) for i in order)
-    if return_vectors:
-        return values, v[:, order]
-    return values
+def eig_sym3(m: Sym3) -> tuple[float, float, float]:
+    """Eigenvalues of a symmetric 3x3 matrix, ascending (LAPACK ``eigvalsh``)."""
+    e = np.linalg.eigvalsh(m.as_matrix())
+    return float(e[0]), float(e[1]), float(e[2])
 
 
 def integrate_fixed_step(

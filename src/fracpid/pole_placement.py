@@ -10,6 +10,7 @@ gains in closed form.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -60,6 +61,8 @@ class Plant:
     omega_n_ol: float  # rad/s
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.k, self.zeta_ol, self.omega_n_ol))):
+            raise ValueError("plant parameters must be finite")
         if self.k == 0.0:
             raise ValueError("plant gain k must be nonzero")
         if self.zeta_ol < 0.0:
@@ -77,6 +80,8 @@ class ClosedLoopTarget:
     m: float = 10.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.zeta_cl, self.omega_n_cl, self.m))):
+            raise ValueError("target parameters must be finite")
         if not 0.0 < self.zeta_cl <= 1.0:
             raise ValueError("zeta_cl must lie in (0, 1]")
         if self.omega_n_cl <= 0.0:
@@ -92,6 +97,10 @@ class PidGains:
     kp: float
     ki: float
     kd: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
+            raise ValueError("gains must be finite")
 
 
 @dataclass

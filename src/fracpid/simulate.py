@@ -54,6 +54,15 @@ class ScenarioSpec:
     disturbance_time: float | None = None
 
     def __post_init__(self) -> None:
+        values = (
+            self.t_end,
+            self.dt,
+            self.step_amplitude,
+            self.disturbance_amplitude,
+            self.disturbance_time,
+        )
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise ValueError("scenario values must be finite")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:

@@ -2,6 +2,7 @@
 
 import io
 
+import pytest
 
 from fracpid.cli import MCURVE_HEADER, TRACE_HEADER, TUNE_HEADER, main
 
@@ -57,6 +58,37 @@ def test_place_unknown_key_exits_2(tmp_path, capsys):
 def test_place_without_plant_exits_2(capsys):
     code, _ = run_cli(["place"])
     assert code == 2
+
+
+def test_place_non_finite_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "nan.ini"
+    config.write_text(
+        "[plant]\nk = nan\nzeta_ol = 0.2\nomega_n_ol = 3\n"
+        "[target]\nzeta_cl = 0.75\nomega_n_cl = 7\n"
+    )
+    code, text = run_cli(["place", "--config", str(config)])
+    assert code == 2
+    assert text == ""
+    assert "[plant] k: not a finite number: 'nan'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "p1", "--dt", "nan"],
+        ["simulate", "--preset", "p1", "--t-end", "inf"],
+        ["inverse", "--preset", "p1", "--gains", "nan,1,1"],
+        ["inverse", "--preset", "p1", "--r", "nan"],
+        ["tune", "--preset", "p1", "--r", "inf"],
+        ["mcurve", "--preset", "p1", "--q-step", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv[2:]),
+)
+def test_non_finite_flag_exits_2_before_output(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -191,17 +191,6 @@ def test_eig_vs_characteristic_cubic_oracle():
         assert_allclose(values, own_solver, rtol=1e-8, atol=1e-10)
 
 
-def test_eig_eigenpair_residual():
-    rng = np.random.default_rng(3)
-    m = rng.uniform(-4, 4, size=(3, 3))
-    m = m + m.T
-    sym = Sym3.from_matrix(m)
-    values, vectors = eig_sym3(sym, return_vectors=True)
-    norm = np.linalg.norm(m)
-    for lam, v in zip(values, vectors.T):
-        assert np.linalg.norm(m @ v - lam * v) <= 1e-10 * norm
-
-
 def test_eig_trace_determinant_invariants():
     rng = np.random.default_rng(11)
     for _ in range(100):

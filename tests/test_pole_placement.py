@@ -166,6 +166,34 @@ def test_type_validation():
         ClosedLoopTarget(0.5, 1.0, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "cls,args",
+    [
+        (Plant, (NAN, 0.2, 3.0)),
+        (Plant, (9.0, INF, 3.0)),
+        (Plant, (9.0, 0.2, NAN)),
+        (ClosedLoopTarget, (NAN, 7.0)),
+        (ClosedLoopTarget, (0.75, INF)),
+        (ClosedLoopTarget, (0.75, 7.0, INF)),
+        (PidGains, (NAN, 1.0, 1.0)),
+        (PidGains, (1.0, -INF, 1.0)),
+        (PidGains, (1.0, 1.0, NAN)),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(map(str, v)),
+)
+def test_non_finite_parameters_rejected(cls, args):
+    with pytest.raises(ValueError, match="finite"):
+        cls(*args)
+
+
+def test_gains_keep_any_finite_sign():
+    # destabilizing gains are representable; the loop checks reject them later
+    assert PidGains(-1.0, -2.0, 0.0).ki == -2.0
+
+
 # m-study uses a coarser grid than the defaults to keep the suite quick; the
 # acceptance suite re-runs it at the default resolution
 _STUDY_SCENARIO = ScenarioSpec(t_end=10.2, dt=2e-3)

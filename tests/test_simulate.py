@@ -131,6 +131,16 @@ def test_scenario_validation():
         ScenarioSpec(t_end=1.0, dt=0.01, disturbance_time=2.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["t_end", "dt", "step_amplitude", "disturbance_amplitude", "disturbance_time"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_scenario_rejects_non_finite(field, value):
+    spec = {"t_end": 1.0, "dt": 0.01, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        ScenarioSpec(**spec)
+
+
 def test_default_scenario_scales():
     spec = default_scenario(OSCILLATORY, 0.98, 2.0)
     assert_allclose(spec.t_end, 20.0 / (0.98 * 2.0), rtol=1e-12)
