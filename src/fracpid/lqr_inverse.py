@@ -10,6 +10,7 @@ eigenvalues of the difference of their Riccati solutions.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,7 +91,7 @@ def p_third_row(
 ) -> tuple[float, float, float]:
     """Third row (P13, P23, P33) of the Riccati solution, directly from the
     plant and the placement target. Linear in the effort weight ``r``."""
-    if r <= 0.0:
+    if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
     zc, wc, m = target.zeta_cl, target.omega_n_cl, target.m
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
@@ -109,7 +110,7 @@ def p_from_gains(plant: Plant, gains: PidGains, r: float = 1.0) -> Sym3:
     The third row is the gains scaled by ``r/k``; the remaining entries
     follow from the off-diagonal Riccati equations.
     """
-    if r <= 0.0:
+    if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
     with warnings.catch_warnings():
         # only the Hurwitz check matters here, not dominance quality
@@ -136,7 +137,7 @@ def q_from_p(plant: Plant, p: Sym3, r: float = 1.0) -> tuple[float, float, float
     Warns IndefiniteWeights when a reconstructed entry is negative; the
     inverse problem does not force standard semi-definite weights.
     """
-    if r <= 0.0:
+    if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
     g = k * k / r
@@ -169,7 +170,7 @@ def care_residual(
 
 def gains_from_p(p: Sym3, k: float, r: float = 1.0) -> PidGains:
     """Recover the state-feedback PID gains from a Riccati solution."""
-    if r <= 0.0:
+    if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
     scale = k / r
     return PidGains(kp=scale * p.a23, ki=scale * p.a13, kd=scale * p.a33)

@@ -1,5 +1,5 @@
 """Foundational numerical routines: analytic cubic root solving, eigenvalues
-of symmetric 3x3 matrices, and fixed-step 4th-order integration.
+of symmetric 3x3 matrices, and exact sampling of constant-input LTI systems.
 
 Everything in this module is a pure function of its inputs and deterministic,
 so results can be frozen into regression tests.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class DegenerateLeadingCoefficient(ValueError):
 
 
 class NonFiniteState(RuntimeError):
-    """Integration produced a non-finite state (instability or bad step)."""
+    """Sampling produced a non-finite state (an overflowing unstable system)."""
 
 
 @dataclass(frozen=True)
@@ -249,17 +249,31 @@ def eig_sym3(m: Sym3) -> tuple[float, float, float]:
     return float(e[0]), float(e[1]), float(e[2])
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential: degree-19 Taylor sum of ``a`` scaled to norm < 1/2,
+    then squared back (Moler & Van Loan 2003, "Nineteen dubious ways...")."""
+    squarings = max(0, math.frexp(float(np.abs(a).sum(axis=1).max()))[1] + 1)
+    a = a / 2.0**squarings
+    term = result = np.eye(len(a))
+    for i in range(1, 20):
+        term = term @ a / i
+        result = result + term
+    return np.linalg.matrix_power(result, 2**squarings)
+
+
 def integrate_fixed_step(
-    deriv: Callable[[float, np.ndarray], Sequence[float]],
+    a: Sequence[Sequence[float]],
+    c: Sequence[float],
     x0: Sequence[float],
     t_end: float,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical 4th-order fixed-step integration of ``x' = deriv(t, x)``.
+    """Exact samples of ``x' = a @ x + c`` every ``dt`` from ``x(0) = x0``.
 
-    Returns ``(t, states)`` with ``floor(t_end/dt) + 1`` samples; states has
-    one row per sample. Raises NonFiniteState as soon as any state stops
-    being finite.
+    One step is the exponential of ``[[a, c], [0, 0]] * dt`` (Van Loan 1978);
+    rows ``[h, 2h)`` are rows ``[0, h)`` times the ``h``-step matrix. Returns
+    ``(t, states)`` with ``floor(t_end/dt) + 1`` samples, one row each.
+    Raises NonFiniteState if any sample is not finite.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -267,21 +281,18 @@ def integrate_fixed_step(
         raise ValueError("t_end must be at least one step")
 
     n = int(math.floor(t_end / dt + 1e-9))
-    x = np.asarray(x0, dtype=float).copy()
-    t = np.arange(n + 1) * dt
-    out = np.empty((n + 1, x.size))
-    out[0] = x
-    half = 0.5 * dt
+    d = len(x0)
+    gen = np.zeros((d + 1, d + 1))
+    gen[:d] = np.column_stack((a, c))
+    out = np.empty((n + 1, d + 1))
+    out[0] = (*x0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow surfaces as the NonFiniteState check below
-        for k in range(n):
-            tk = k * dt
-            k1 = np.asarray(deriv(tk, x), dtype=float)
-            k2 = np.asarray(deriv(tk + half, x + half * k1), dtype=float)
-            k3 = np.asarray(deriv(tk + half, x + half * k2), dtype=float)
-            k4 = np.asarray(deriv(tk + dt, x + dt * k3), dtype=float)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState(f"non-finite state at t={tk + dt:.6g}")
-            out[k + 1] = x
-    return t, out
+        stepper = _expm(gen * dt).T  # advances row states by one step
+        for h in (1 << p for p in range(n.bit_length())):
+            out[h : 2 * h] = out[: min(h, n + 1 - h)] @ stepper
+            stepper = stepper @ stepper
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NonFiniteState(f"non-finite state at t={bad[0] * dt:.6g}")
+    return np.arange(n + 1) * dt, out[:, :d]

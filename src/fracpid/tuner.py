@@ -97,7 +97,7 @@ def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
 
     Empty when q_from < q_to. Grid values must stay inside (0, 2].
     """
-    if q_step <= 0.0:
+    if not q_step > 0.0:
         raise ValueError("q_step must be positive")
     if q_from < q_to:
         return []
@@ -167,7 +167,7 @@ def two_stage_tune(
         raise ValueError(
             "desired_zeta must lie strictly between the stage-1 damping and 1"
         )
-    if q_step <= 0.0:
+    if not q_step > 0.0:
         raise ValueError("q_step must be positive")
 
     stage1_gains = place_gains(plant, stage1_target)

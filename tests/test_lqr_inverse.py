@@ -280,3 +280,17 @@ def test_r_validation():
         p_from_gains(OSCILLATORY, OSC_GAINS_HIGH, -1.0)
     with pytest.raises(ValueError):
         gains_from_p(p_from_gains(OSCILLATORY, OSC_GAINS_HIGH), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("r", [float("nan"), float("inf")])
+def test_r_validation_rejects_non_finite(r):
+    p = p_from_gains(OSCILLATORY, OSC_GAINS_HIGH)
+    for call in (
+        lambda: p_third_row(OSCILLATORY, OSC_TARGET_LOW, r),
+        lambda: p_from_gains(OSCILLATORY, OSC_GAINS_HIGH, r),
+        lambda: q_from_p(OSCILLATORY, p, r),
+        lambda: gains_from_p(p, 1.0, r),
+        lambda: riccati_package(OSCILLATORY, OSC_GAINS_HIGH, r),
+    ):
+        with pytest.raises(ValueError, match="r must be positive"):
+            call()

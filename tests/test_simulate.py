@@ -20,6 +20,8 @@ from fracpid import (
     place_gains,
     simulate_closed_loop,
 )
+from fracpid.cli import PRESETS
+from fracpid.simulate import DISTURBANCE_FRACTION
 
 from cases import BENCHMARKS, OSCILLATORY
 
@@ -27,9 +29,11 @@ P1 = Plant(9, 0.2, 3)
 P1_STAGE1 = PidGains(65.6944, 285.8333, 6.8667)
 
 
-def expm_step_response(plant, gains, step, t_end, dt):
-    """Exact sampled solution of the closed loop via an augmented matrix
-    exponential; independent oracle for the fixed-step integrator."""
+def expm_step_response(plant, gains, step, t_end, dt, load=0.0, k_switch=None):
+    """Exact sampled solution ``(y, u)`` of the closed loop via one augmented
+    matrix exponential per constant-input segment, the load stepping in at
+    sample ``k_switch`` (never by default); independent oracle for the
+    simulator."""
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
     ac = np.array(
         [
@@ -38,19 +42,21 @@ def expm_step_response(plant, gains, step, t_end, dt):
             [-1.0, 0.0, 0.0],
         ]
     )
-    forcing = np.array([0.0, k * gains.kp * step, step])
-    m = np.zeros((4, 4))
-    m[:3, :3] = ac
-    m[:3, 3] = forcing
-    stepper = expm(m * dt)
     n = int(math.floor(t_end / dt + 1e-9))
+    k_switch = n if k_switch is None else k_switch
     aug = np.array([0.0, 0.0, 0.0, 1.0])
-    ys = np.empty(n + 1)
-    ys[0] = 0.0
-    for i in range(n):
-        aug = stepper @ aug
-        ys[i + 1] = aug[0]
-    return ys
+    states = np.empty((n + 1, 4))
+    states[0] = aug
+    for lo, hi, d in ((0, k_switch, 0.0), (k_switch, n, load)):
+        m = np.zeros((4, 4))
+        m[:3, :3] = ac
+        m[:3, 3] = (0.0, k * (gains.kp * step + d), step)
+        stepper = expm(m * dt)
+        for i in range(lo, hi):
+            aug = stepper @ aug
+            states[i + 1] = aug
+    y, ydot, zint = states[:, 0], states[:, 1], states[:, 2]
+    return y, gains.kp * (step - y) + gains.ki * zint - gains.kd * ydot
 
 
 def test_step_reaches_setpoint():
@@ -62,8 +68,29 @@ def test_step_reaches_setpoint():
 def test_matches_matrix_exponential_oracle():
     scenario = ScenarioSpec(t_end=20.0 / (0.75 * 7.0), dt=1e-3)
     trace = simulate_closed_loop(P1, P1_STAGE1, scenario)
-    oracle = expm_step_response(P1, P1_STAGE1, 1.0, scenario.t_end, scenario.dt)
+    oracle, _ = expm_step_response(P1, P1_STAGE1, 1.0, scenario.t_end, scenario.dt)
     assert np.abs(trace.y - oracle).max() <= 1e-6
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("disturbed", [False, True], ids=["plain", "disturb"])
+def test_preset_traces_match_exact_solution(preset, disturbed):
+    # the scenario and gains of ``fracpid simulate --preset NAME [--disturb]``
+    plant = Plant(*PRESETS[preset]["plant"])
+    target = ClosedLoopTarget(*PRESETS[preset]["target"])
+    gains = place_gains(plant, target)
+    scenario = default_scenario(
+        plant,
+        target.zeta_cl,
+        target.omega_n_cl,
+        disturbance_amplitude=DISTURBANCE_FRACTION if disturbed else 0.0,
+    )
+    trace = simulate_closed_loop(plant, gains, scenario)
+    load, dt = scenario.disturbance_amplitude, scenario.dt
+    k_switch = round(scenario.resolved_disturbance_time() / dt) if disturbed else None
+    y, u = expm_step_response(plant, gains, 1.0, scenario.t_end, dt, load, k_switch)
+    assert np.abs(trace.y - y).max() <= 1e-9
+    assert np.abs(trace.u - u).max() <= 1e-9 * np.abs(u).max()
 
 
 def test_initial_control_equals_kp_times_step():
@@ -167,7 +194,7 @@ def test_metrics_on_critically_damped_design():
     gains = place_gains(OSCILLATORY, ClosedLoopTarget(1.0, 2.0, 10.0))
     scenario = ScenarioSpec(t_end=10.0, dt=1e-3)
     trace = simulate_closed_loop(OSCILLATORY, gains, scenario)
-    oracle_y = expm_step_response(OSCILLATORY, gains, 1.0, scenario.t_end, scenario.dt)
+    oracle_y, _ = expm_step_response(OSCILLATORY, gains, 1.0, scenario.t_end, scenario.dt)
     assert np.abs(trace.y - oracle_y).max() <= 1e-6
     m = metrics(trace, gains, scenario)
     oracle_overshoot = max(0.0, (oracle_y.max() - 1.0) * 100.0)

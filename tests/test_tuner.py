@@ -44,6 +44,13 @@ def test_q_grid_validation():
         q_grid(1.1, -0.1, 0.1)
 
 
+def test_q_grid_rejects_nan_step():
+    with pytest.raises(ValueError, match="q_step must be positive"):
+        q_grid(1.1, 0.9, float("nan"))
+    with pytest.raises(ValueError, match="q_step must be positive"):
+        mcurve(P1.plant, P1.lqr_gains, 1.0, 0.8, float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -167,6 +174,11 @@ def test_two_stage_validates_preconditions():
         two_stage_tune(P1.plant, P1.stage1, desired_zeta=1.0)
     with pytest.raises(ValueError):
         two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=-0.1)
+
+
+def test_two_stage_rejects_nan_step():
+    with pytest.raises(ValueError, match="q_step must be positive"):
+        two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=float("nan"))
 
 
 def test_single_stage_gains_exceed_suboptimal_on_benchmarks():
