@@ -19,7 +19,7 @@ import dataclasses
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .pole_placement import (
 )
 from .simulate import (
     DISTURBANCE_FRACTION,
-    ScenarioSpec,
+    ResponseMetrics,
     Trace,
     default_scenario,
     metrics,
@@ -109,9 +109,31 @@ PRESETS: dict[str, dict] = {
 }
 
 
+# the one rule for numeric output: 6 significant digits
+_SIG6 = "%.6g"
+# a trace row is five floats (TRACE_HEADER), formatted a block of rows at a time
+_TRACE_ROW = ",".join([_SIG6] * 5) + "\n"
+_TRACE_BLOCK = 512
+
+
 def fmt(x: float) -> str:
     """Fixed 6-significant-digit formatting for all numeric output."""
-    return format(float(x), ".6g")
+    return _SIG6 % float(x)
+
+
+def _cell(v) -> str:
+    """One output cell: empty for None, true/false, text as is, numbers by %.6g."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
+    return _SIG6 % v
+
+
+def _csv(header: str, rows) -> str:
+    return "".join([header + "\n", *(",".join(map(_cell, row)) + "\n" for row in rows)])
 
 
 def _fmt_gains(g: PidGains) -> str:
@@ -225,6 +247,14 @@ def _apply_preset(name: str, cfg: RunConfig) -> None:
         cfg.desired_zeta = preset["desired_zeta"]
 
 
+# flag dests that override the RunConfig attribute of the same name, in the
+# order they are checked
+_FLAG_ATTRS = (
+    "desired_zeta", "q_from", "q_to", "q_step", "dt", "t_end", "r",
+    "disturbance_amplitude", "disturbance_time", "out",
+)
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge preset, config file, and flag overrides, in that order."""
     cfg = RunConfig()
@@ -235,23 +265,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # --q-step means the stage-2 search step for tune/simulate and the sweep
     # step for mcurve
     q_step_attr = "q_step" if args.command == "mcurve" else "tune_q_step"
-    for flag, attr in (
-        ("desired_zeta", "desired_zeta"),
-        ("q_from", "q_from"),
-        ("q_to", "q_to"),
-        ("q_step", q_step_attr),
-        ("dt", "dt"),
-        ("t_end", "t_end"),
-        ("r", "r"),
-        ("disturbance_amplitude", "disturbance_amplitude"),
-        ("disturbance_time", "disturbance_time"),
-        ("out", "out"),
-    ):
+    for flag in _FLAG_ATTRS:
         value = getattr(args, flag, None)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"--{flag.replace('_', '-')}: not a finite number: {value!r}")
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, q_step_attr if flag == "q_step" else flag, value)
     if getattr(args, "refine", False):
         cfg.refine = True
     if getattr(args, "gains", None):
@@ -295,17 +314,6 @@ def _write_text(path: str | None, text: str, out) -> None:
 def _print_warnings(caught, out) -> None:
     for item in caught:
         out.write(f"warning: {item.message}\n")
-
-
-def _scenario_for(cfg: RunConfig, plant: Plant, zeta: float, omega: float) -> ScenarioSpec:
-    base = default_scenario(plant, zeta, omega)
-    return ScenarioSpec(
-        t_end=cfg.t_end if cfg.t_end is not None else base.t_end,
-        dt=cfg.dt if cfg.dt is not None else base.dt,
-        step_amplitude=cfg.step_amplitude,
-        disturbance_amplitude=cfg.disturbance_amplitude,
-        disturbance_time=cfg.disturbance_time,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,37 +363,13 @@ def _riccati_lines(label: str, pkg: RiccatiPackage) -> list[str]:
 
 
 def _tune_csv(report: TuningReport) -> str:
-    rows = [TUNE_HEADER]
-    for label, gains, pkg in (
-        ("single-stage", report.single_stage_gains, report.riccati_lqr),
-        ("suboptimal", report.suboptimal_gains, report.riccati_subopt),
-    ):
-        p = pkg.p
-        rows.append(
-            ",".join(
-                [label]
-                + [
-                    fmt(v)
-                    for v in (
-                        gains.kp,
-                        gains.ki,
-                        gains.kd,
-                        pkg.q_diag[0],
-                        pkg.q_diag[1],
-                        pkg.q_diag[2],
-                        pkg.r,
-                        p.a11,
-                        p.a12,
-                        p.a13,
-                        p.a22,
-                        p.a23,
-                        p.a33,
-                        pkg.care_residual,
-                    )
-                ]
-            )
+    return _csv(TUNE_HEADER, [
+        (label, *astuple(gains), *pkg.q_diag, pkg.r, *astuple(pkg.p), pkg.care_residual)
+        for label, gains, pkg in (
+            ("single-stage", report.single_stage_gains, report.riccati_lqr),
+            ("suboptimal", report.suboptimal_gains, report.riccati_subopt),
         )
-    return "\n".join(rows) + "\n"
+    ])
 
 
 def _cmd_tune(args: argparse.Namespace, out) -> int:
@@ -429,68 +413,41 @@ def _cmd_tune(args: argparse.Namespace, out) -> int:
 
 
 def _mcurve_csv(points) -> str:
-    rows = [MCURVE_HEADER]
+    # gains and zero are missing outside the wedge, the dominant pair also
+    # when the loop is unstable
+    rows = []
     for pt in points:
-        if pt.equivalent_gains is not None:
-            g = pt.equivalent_gains
-            gain_cells = [fmt(g.kp), fmt(g.ki), fmt(g.kd)]
-        else:
-            gain_cells = ["", "", ""]
-        zero_cells = (
-            [fmt(pt.s_zero.real), fmt(pt.s_zero.imag)] if pt.s_zero is not None else ["", ""]
-        )
-        dom_cells = (
-            [fmt(pt.dominant_zeta), fmt(pt.dominant_omega_n)]
-            if pt.dominant_zeta is not None
-            else ["", ""]
-        )
-        rows.append(
-            ",".join(
-                [fmt(pt.q)]
-                + gain_cells
-                + zero_cells
-                + dom_cells
-                + [pt.wedge.value, "true" if pt.stable else "false"]
-            )
-        )
-    return "\n".join(rows) + "\n"
+        g, z = pt.equivalent_gains, pt.s_zero
+        gains = [g.kp, g.ki, g.kd] if g is not None else [None] * 3
+        zero = [z.real, z.imag] if z is not None else [None] * 2
+        dominant = [pt.dominant_zeta, pt.dominant_omega_n]
+        rows.append((pt.q, *gains, *zero, *dominant, pt.wedge.value, pt.stable))
+    return _csv(MCURVE_HEADER, rows)
 
 
 def _cmd_mcurve(args: argparse.Namespace, out) -> int:
     cfg = resolve_config(args)
     plant = _require_plant(cfg)
-    if cfg.gains is not None:
-        stage1 = cfg.gains
-    else:
-        stage1 = place_gains(plant, _require_target(cfg))
+    stage1 = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     points = mcurve(plant, stage1, cfg.q_from, cfg.q_to, cfg.q_step)
     _write_text(cfg.out, _mcurve_csv(points), out)
     return EXIT_OK
 
 
 def _trace_csv(trace: Trace) -> str:
-    rows = [TRACE_HEADER]
-    for k in range(trace.t.size):
-        rows.append(
-            ",".join(
-                fmt(v)
-                for v in (trace.t[k], trace.r[k], trace.y[k], trace.u[k], trace.d[k])
-            )
-        )
-    return "\n".join(rows) + "\n"
+    # every cell is a float, so each block of rows takes one % operation
+    rows = np.column_stack((trace.t, trace.r, trace.y, trace.u, trace.d))
+    parts = [TRACE_HEADER + "\n"]
+    for k in range(0, len(rows), _TRACE_BLOCK):
+        block = rows[k : k + _TRACE_BLOCK]
+        parts.append(_TRACE_ROW * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
-def _metrics_lines(label: str, m) -> list[str]:
-    return [
-        f"metrics ({label}):",
-        f"  percent_overshoot: {fmt(m.percent_overshoot)}",
-        f"  rise_time_10_90: {fmt(m.rise_time_10_90)}",
-        f"  settling_time_2pct: {fmt(m.settling_time_2pct)}",
-        f"  peak_control: {fmt(m.peak_control)}",
-        f"  initial_control: {fmt(m.initial_control)}",
-        f"  iae: {fmt(m.iae)}",
-        f"  control_ise: {fmt(m.control_ise)}",
-        f"  settled: {'true' if m.settled else 'false'}",
+def _metrics_lines(label: str, m: ResponseMetrics) -> list[str]:
+    # the dataclass field order is the printed order
+    return [f"metrics ({label}):"] + [
+        f"  {f.name}: {_cell(getattr(m, f.name))}" for f in dataclasses.fields(ResponseMetrics)
     ]
 
 
@@ -533,7 +490,17 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
     if getattr(args, "disturb", False) and cfg.disturbance_amplitude == 0.0:
         cfg.disturbance_amplitude = DISTURBANCE_FRACTION * cfg.step_amplitude
 
-    scenario = _scenario_for(cfg, plant, zeta_scale, omega_scale)
+    # horizon and step are sized from the design unless set
+    sized = {k: v for k, v in (("t_end", cfg.t_end), ("dt", cfg.dt)) if v is not None}
+    scenario = default_scenario(
+        plant,
+        zeta_scale,
+        omega_scale,
+        step_amplitude=cfg.step_amplitude,
+        disturbance_amplitude=cfg.disturbance_amplitude,
+        disturbance_time=cfg.disturbance_time,
+        **sized,
+    )
     disturbance_note = ""
     if scenario.disturbance_amplitude != 0.0:
         disturbance_note = f" at t={fmt(scenario.resolved_disturbance_time())}"
@@ -548,25 +515,23 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
 
     results = []
     for label, gains in controllers:
-        # fail fast on non-stabilizing gains instead of integrating to overflow
-        closed_loop_poles(plant, gains)
         trace = simulate_closed_loop(plant, gains, scenario)
         m = metrics(trace, gains, scenario)
-        results.append((label, gains, trace, m))
+        results.append((label, trace, m))
         out.write(f"controller ({label}): {_fmt_gains(gains)}\n")
         out.write("\n".join(_metrics_lines(label, m)) + "\n")
 
     if len(results) == 1:
-        _write_text(cfg.out, _trace_csv(results[0][2]), out)
+        _write_text(cfg.out, _trace_csv(results[0][1]), out)
     else:
-        for label, _gains, trace, _m in results:
+        for label, trace, _m in results:
             path = _out_path_for(cfg.out, label)
             if path is None:
                 out.write(f"trace ({label}):\n")
                 out.write(_trace_csv(trace))
             else:
                 _write_text(path, _trace_csv(trace), out)
-        (_, _, trace_a, met_a), (_, _, trace_b, met_b) = results[0], results[1]
+        (_, trace_a, met_a), (_, trace_b, met_b) = results
         max_dy = float(np.abs(trace_a.y - trace_b.y).max())
         out.write("comparison (first/second):\n")
         out.write(
@@ -580,10 +545,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
 def _cmd_inverse(args: argparse.Namespace, out) -> int:
     cfg = resolve_config(args)
     plant = _require_plant(cfg)
-    if cfg.gains is not None:
-        gains = cfg.gains
-    else:
-        gains = place_gains(plant, _require_target(cfg))
+    gains = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     pkg = riccati_package(plant, gains, cfg.r)
     lines = [
         f"plant: k={fmt(plant.k)} zeta_ol={fmt(plant.zeta_ol)} "

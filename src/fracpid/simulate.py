@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import integrate_fixed_step, solve_cubic
-from .pole_placement import PidGains, Plant, closed_loop_characteristic
+from .numerics import integrate_fixed_step
+from .pole_placement import PidGains, Plant, closed_loop_poles
 
 __all__ = [
     "ScenarioSpec",
@@ -121,25 +121,18 @@ def default_scenario(plant: Plant, zeta_scale: float, omega_scale: float, **over
     return ScenarioSpec(**defaults)
 
 
-def _dominant_frequency(plant: Plant, gains: PidGains) -> float | None:
-    """Magnitude of the dominant closed-loop pole, None if unstable."""
-    triple = solve_cubic(closed_loop_characteristic(plant, gains))
-    if any(r.real >= 0.0 for r in triple.roots):
-        return None
-    return abs(triple.roots[0])
-
-
 def simulate_closed_loop(plant: Plant, gains: PidGains, scenario: ScenarioSpec) -> Trace:
     """Sample the closed loop exactly through the scenario.
 
     The loop is linear and time-invariant with constant inputs before and
     after the load disturbance, which enters at the plant input and switches
-    exactly on a grid point: one matrix exponential per segment. Stabilizing
-    gains are a precondition; an unstable loop raises NonFiniteState only if
-    its state overflows within the horizon.
+    exactly on a grid point: one matrix exponential per segment. Raises
+    UnstableClosedLoop, before sampling, when the gains do not stabilize the
+    loop; warns DominanceWarning as closed_loop_poles does.
     """
-    dom = _dominant_frequency(plant, gains)
-    if dom is not None and scenario.dt > 0.05 / dom:
+    # roots come sorted by |Re|, the dominant pole first
+    dom = abs(closed_loop_poles(plant, gains).roots.roots[0])
+    if scenario.dt > 0.05 / dom:
         warnings.warn(
             f"dt={scenario.dt:g} is coarse for dominant frequency {dom:.3g} rad/s; "
             f"use dt <= {0.05 / dom:.3g}",

@@ -1,10 +1,28 @@
 """Command-line interface: subcommands, config handling, CSV formats."""
 
 import io
+import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fracpid.cli import MCURVE_HEADER, TRACE_HEADER, TUNE_HEADER, main
+from fracpid import (
+    ClosedLoopTarget,
+    Plant,
+    ResponseMetrics,
+    Trace,
+    default_scenario,
+    mcurve,
+    metrics,
+    place_gains,
+    simulate_closed_loop,
+    two_stage_tune,
+)
+from fracpid import cli
+from fracpid.cli import MCURVE_HEADER, PRESETS, TRACE_HEADER, TUNE_HEADER, main
+from fracpid.simulate import DISTURBANCE_FRACTION
 
 
 def run_cli(args):
@@ -373,3 +391,150 @@ def test_tune_csv_matches_published_rows(tmp_path):
     for controller, expected in published.items():
         for key, value in expected.items():
             assert abs(rows[controller][key] - value) <= 1e-2 * abs(value)
+
+
+# ---------------------------------------------------------------------------
+# output formatting against per-cell reference writers
+# ---------------------------------------------------------------------------
+
+def ref_fmt(x):
+    return format(float(x), ".6g")
+
+
+def ref_trace_csv(trace):
+    rows = [TRACE_HEADER]
+    for k in range(trace.t.size):
+        rows.append(
+            ",".join(
+                ref_fmt(v)
+                for v in (trace.t[k], trace.r[k], trace.y[k], trace.u[k], trace.d[k])
+            )
+        )
+    return "\n".join(rows) + "\n"
+
+
+def ref_mcurve_csv(points):
+    rows = [MCURVE_HEADER]
+    for pt in points:
+        if pt.equivalent_gains is not None:
+            g = pt.equivalent_gains
+            gain_cells = [ref_fmt(g.kp), ref_fmt(g.ki), ref_fmt(g.kd)]
+        else:
+            gain_cells = ["", "", ""]
+        zero_cells = (
+            [ref_fmt(pt.s_zero.real), ref_fmt(pt.s_zero.imag)]
+            if pt.s_zero is not None
+            else ["", ""]
+        )
+        dom_cells = (
+            [ref_fmt(pt.dominant_zeta), ref_fmt(pt.dominant_omega_n)]
+            if pt.dominant_zeta is not None
+            else ["", ""]
+        )
+        rows.append(
+            ",".join(
+                [ref_fmt(pt.q)]
+                + gain_cells
+                + zero_cells
+                + dom_cells
+                + [pt.wedge.value, "true" if pt.stable else "false"]
+            )
+        )
+    return "\n".join(rows) + "\n"
+
+
+def ref_tune_csv(report):
+    rows = [TUNE_HEADER]
+    for label, gains, pkg in (
+        ("single-stage", report.single_stage_gains, report.riccati_lqr),
+        ("suboptimal", report.suboptimal_gains, report.riccati_subopt),
+    ):
+        p = pkg.p
+        values = (
+            gains.kp, gains.ki, gains.kd,
+            pkg.q_diag[0], pkg.q_diag[1], pkg.q_diag[2], pkg.r,
+            p.a11, p.a12, p.a13, p.a22, p.a23, p.a33,
+            pkg.care_residual,
+        )
+        rows.append(",".join([label] + [ref_fmt(v) for v in values]))
+    return "\n".join(rows) + "\n"
+
+
+def ref_metrics_lines(label, m):
+    return [
+        f"metrics ({label}):",
+        f"  percent_overshoot: {ref_fmt(m.percent_overshoot)}",
+        f"  rise_time_10_90: {ref_fmt(m.rise_time_10_90)}",
+        f"  settling_time_2pct: {ref_fmt(m.settling_time_2pct)}",
+        f"  peak_control: {ref_fmt(m.peak_control)}",
+        f"  initial_control: {ref_fmt(m.initial_control)}",
+        f"  iae: {ref_fmt(m.iae)}",
+        f"  control_ise: {ref_fmt(m.control_ise)}",
+        f"  settled: {'true' if m.settled else 'false'}",
+    ]
+
+
+def _preset(name):
+    return Plant(*PRESETS[name]["plant"]), ClosedLoopTarget(*PRESETS[name]["target"])
+
+
+@pytest.mark.parametrize("disturb", [False, True], ids=["plain", "disturb"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_trace_csv_and_metrics_match_reference(name, disturb):
+    plant, target = _preset(name)
+    gains = place_gains(plant, target)
+    scenario = default_scenario(
+        plant,
+        target.zeta_cl,
+        target.omega_n_cl,
+        disturbance_amplitude=DISTURBANCE_FRACTION if disturb else 0.0,
+    )
+    trace = simulate_closed_loop(plant, gains, scenario)
+    assert cli._trace_csv(trace) == ref_trace_csv(trace)
+    m = metrics(trace, gains, scenario)
+    assert cli._metrics_lines(name, m) == ref_metrics_lines(name, m)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308,
+                  9.999995, 123456.5, 1e16, -1e-5]
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 1300])
+def test_trace_csv_matches_reference_on_any_float(rows):
+    # random bit patterns (NaN payloads, subnormals, infinities) and special
+    # values, across the block boundaries of the writer
+    bits = np.random.default_rng(rows).integers(0, 2**64, size=(5, rows), dtype=np.uint64)
+    cols = bits.view(np.float64)
+    n = min(len(SPECIAL_FLOATS), cols.size)
+    cols.flat[:n] = SPECIAL_FLOATS[:n]
+    trace = Trace(*cols)
+    assert cli._trace_csv(trace) == ref_trace_csv(trace)
+
+
+def test_metrics_lines_unsettled_match_reference():
+    m = ResponseMetrics(12.5, 0.25, math.nan, -3.0, -0.0, 1e-300, math.inf, False)
+    assert cli._metrics_lines("x", m) == ref_metrics_lines("x", m)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_mcurve_csv_matches_reference(name):
+    plant, target = _preset(name)
+    points = mcurve(plant, place_gains(plant, target), cli.Q_SWEEP_HIGH, cli.Q_SWEEP_LOW, 0.01)
+    assert cli._mcurve_csv(points) == ref_mcurve_csv(points)
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+def test_tune_csv_matches_reference(name):
+    plant, target = _preset(name)
+    report = two_stage_tune(plant, target, PRESETS[name]["desired_zeta"])
+    assert cli._tune_csv(report) == ref_tune_csv(report)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(-0.0)
+@example(math.nan)
+@example(-math.inf)
+@example(5e-324)
+@example(9.999995)
+def test_fmt_is_the_percent_rule(x):
+    assert cli.fmt(x) == cli._cell(x) == "%.6g" % x == ref_fmt(x)

@@ -11,10 +11,10 @@ from scipy.linalg import expm
 from fracpid import (
     ClosedLoopTarget,
     InvalidScenario,
-    NonFiniteState,
     PidGains,
     Plant,
     ScenarioSpec,
+    UnstableClosedLoop,
     default_scenario,
     metrics,
     place_gains,
@@ -138,10 +138,13 @@ def test_disturbance_column_switches_on_grid():
     assert np.all(trace.d[switch:] == 0.3)
 
 
-def test_nonfinite_state_for_destabilizing_gains():
+def test_destabilizing_gains_rejected_before_sampling():
+    # a pole at +105.7: over 30 s the samples overflow, over 1 s they stay
+    # finite (max|y| ~ 1e45) and only the poles show the loop is unstable
     bad = PidGains(-200.0, 10.0, -10.0)
-    with pytest.raises(NonFiniteState):
-        simulate_closed_loop(P1, bad, ScenarioSpec(t_end=30.0, dt=1e-2))
+    for scenario in (ScenarioSpec(t_end=30.0, dt=1e-2), ScenarioSpec(t_end=1.0, dt=1e-3)):
+        with pytest.raises(UnstableClosedLoop):
+            simulate_closed_loop(P1, bad, scenario)
 
 
 def test_coarse_step_warning():
