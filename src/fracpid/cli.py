@@ -631,6 +631,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse would read a negative gain list such as -200,10,-10 as an option
+        if argv[i - 1] in ("--gains", "--gains2") and argv[i][:1] == "-" and "," in argv[i]:
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         _q_flags_valid(args)

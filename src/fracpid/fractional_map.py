@@ -110,6 +110,15 @@ def classify_wedge(phi: float, q: float) -> WedgeClass:
     return WedgeClass.HYPER_DAMPED
 
 
+def _phi_in_wedge(gains: PidGains, q: float) -> float:
+    # w-plane zero angle, or OutsideWedge unless it maps to under-damped zeros
+    phi = w_zeros(gains).phi
+    wedge = classify_wedge(phi, q)
+    if wedge is not WedgeClass.UNDER_DAMPED:
+        raise OutsideWedge(f"zeros classify as {wedge.value} at q={q:g}")
+    return phi
+
+
 def s_zeros(gains: PidGains, q: float) -> tuple[complex, complex]:
     """Map the controller zeros back to the s-plane on the primary sheet.
 
@@ -117,12 +126,8 @@ def s_zeros(gains: PidGains, q: float) -> tuple[complex, complex]:
     wedge classification, otherwise the mapped zeros would not produce
     stable oscillatory dynamics (OutsideWedge).
     """
-    wz = w_zeros(gains)
-    wedge = classify_wedge(wz.phi, q)
-    if wedge is not WedgeClass.UNDER_DAMPED:
-        raise OutsideWedge(f"zeros classify as {wedge.value} at q={q:g}")
+    angle = _phi_in_wedge(gains, q) / q
     mag = (gains.ki / gains.kd) ** (1.0 / (2.0 * q))
-    angle = wz.phi / q
     upper = complex(mag * math.cos(angle), mag * math.sin(angle))
     return upper, upper.conjugate()
 
@@ -133,12 +138,9 @@ def equivalent_pid(gains: PidGains, q: float) -> PidGains:
     Identity at q=1. Inside the under-damped wedge ``cos(phi/q)`` is
     negative, so all three equivalent gains come out positive.
     """
-    wz = w_zeros(gains)
-    wedge = classify_wedge(wz.phi, q)
-    if wedge is not WedgeClass.UNDER_DAMPED:
-        raise OutsideWedge(f"zeros classify as {wedge.value} at q={q:g}")
+    phi = _phi_in_wedge(gains, q)
     return PidGains(
-        kp=-2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(wz.phi / q),
+        kp=-2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q),
         ki=gains.ki ** (1.0 / q),
         kd=gains.kd ** (1.0 / q),
     )

@@ -23,6 +23,7 @@ from .pole_placement import (
     PidGains,
     Plant,
     UnstableClosedLoop,
+    _placement_shift,
     closed_loop_poles,
 )
 
@@ -93,14 +94,9 @@ def p_third_row(
     plant and the placement target. Linear in the effort weight ``r``."""
     if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
-    zc, wc, m = target.zeta_cl, target.omega_n_cl, target.m
-    k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
-    g = r / (k * k)
-    return (
-        m * zc * wc**3 * g,
-        (wc * wc * (1.0 + 2.0 * m * zc * zc) - wo * wo) * g,
-        ((2.0 + m) * zc * wc - 2.0 * zo * wo) * g,
-    )
+    kp_shift, ki_shift, kd_shift = _placement_shift(plant, target)
+    g = r / (plant.k * plant.k)
+    return ki_shift * g, kp_shift * g, kd_shift * g
 
 
 def p_from_gains(plant: Plant, gains: PidGains, r: float = 1.0) -> Sym3:

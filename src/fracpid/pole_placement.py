@@ -135,13 +135,8 @@ def place_gains(plant: Plant, target: ClosedLoopTarget) -> PidGains:
     Warns NonPositiveGain when a gain comes out non-positive; the algebra is
     still exact, the caller decides whether the design is usable.
     """
-    zc, wc, m = target.zeta_cl, target.omega_n_cl, target.m
-    k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
-    kp = (wc * wc * (1.0 + 2.0 * m * zc * zc) - wo * wo) / k
-    ki = m * zc * wc**3 / k
-    kd = ((2.0 + m) * zc * wc - 2.0 * zo * wo) / k
-    gains = PidGains(kp, ki, kd)
-    if kp <= 0.0 or ki <= 0.0 or kd <= 0.0:
+    gains = PidGains(*(c / plant.k for c in _placement_shift(plant, target)))
+    if min(gains.kp, gains.ki, gains.kd) <= 0.0:
         warnings.warn(
             f"non-positive gain in {gains}; target too close to the open loop",
             NonPositiveGain,
@@ -159,6 +154,14 @@ def desired_characteristic(target: ClosedLoopTarget) -> Cubic:
         wc * wc * (1.0 + 2.0 * m * zc * zc),
         m * zc * wc**3,
     )
+
+
+def _placement_shift(plant: Plant, target: ClosedLoopTarget) -> tuple[float, float, float]:
+    # k*kp, k*ki and k*kd of the placing gains: each desired coefficient minus
+    # the open-loop one it replaces (see closed_loop_characteristic)
+    d = desired_characteristic(target)
+    zo, wo = plant.zeta_ol, plant.omega_n_ol
+    return d.a1 - wo * wo, d.a0, d.a2 - 2.0 * zo * wo
 
 
 def closed_loop_characteristic(plant: Plant, gains: PidGains) -> Cubic:

@@ -10,6 +10,7 @@ initial control effort.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from .pole_placement import (
     DominanceWarning,
     PidGains,
     Plant,
-    PoleReport,
     UnstableClosedLoop,
     closed_loop_poles,
     place_gains,
@@ -43,6 +43,10 @@ __all__ = [
 # slack on the stage-2 damping stop test, so targets that are met exactly on
 # a grid point terminate there instead of drifting one step further
 ZETA_SLACK = 1e-8
+
+# longest q grid a sweep or the stage-2 walk may build; the benchmark's
+# grids peak near 5000 points (stage 2 at q_step 0.0002)
+MAX_Q_POINTS = 100_000
 
 
 class TargetUnreachable(RuntimeError):
@@ -85,17 +89,11 @@ class TuningReport:
     initial_control_subopt: float
 
 
-def _poles_quiet(plant: Plant, gains: PidGains) -> PoleReport:
-    # sweeps scan arbitrary dominance ratios; the warning belongs to designs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DominanceWarning)
-        return closed_loop_poles(plant, gains)
-
-
 def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
     """Inclusive descending grid from q_from down to q_to.
 
-    Empty when q_from < q_to. Grid values must stay inside (0, 2].
+    Empty when q_from < q_to. Grid values must stay inside (0, 2]; a grid
+    of more than MAX_Q_POINTS points raises ValueError before it is built.
     """
     if not q_step > 0.0:
         raise ValueError("q_step must be positive")
@@ -103,8 +101,27 @@ def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
         return []
     if not (0.0 < q_to <= 2.0 and 0.0 < q_from <= 2.0):
         raise ValueError("q grid must lie inside (0, 2]")
-    count = int((q_from - q_to) / q_step + 1e-9) + 1
-    return [q_from - i * q_step for i in range(count)]
+    steps = (q_from - q_to) / q_step + 1e-9
+    if steps >= MAX_Q_POINTS:
+        count = int(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(f"q grid of {count} points exceeds the cap of {MAX_Q_POINTS}")
+    return [q_from - i * q_step for i in range(int(steps) + 1)]
+
+
+def _probe(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
+    # one M-curve point without its s-plane zero; callers ignore
+    # DominanceWarning around their whole walk, as it belongs to designs
+    point = MCurvePoint(q=q, wedge=classify_wedge(phi, q), stable=False)
+    if point.wedge is WedgeClass.UNDER_DAMPED:
+        point.equivalent_gains = equivalent_pid(stage1_gains, q)
+        try:
+            report = closed_loop_poles(plant, point.equivalent_gains)
+        except UnstableClosedLoop:
+            return point
+        point.stable = True
+        point.dominant_zeta = report.dominant_zeta
+        point.dominant_omega_n = report.dominant_omega_n
+    return point
 
 
 def mcurve(
@@ -120,24 +137,15 @@ def mcurve(
     dominant closed-loop pole, or just the wedge/stability flags where the
     mapping or the loop fails.
     """
-    wz = w_zeros(stage1_gains)
+    phi = w_zeros(stage1_gains).phi
     points = []
-    for q in q_grid(q_from, q_to, q_step):
-        wedge = classify_wedge(wz.phi, q)
-        point = MCurvePoint(q=q, wedge=wedge, stable=False)
-        if wedge is WedgeClass.UNDER_DAMPED:
-            gains = equivalent_pid(stage1_gains, q)
-            point.equivalent_gains = gains
-            point.s_zero = s_zeros(stage1_gains, q)[0]
-            try:
-                report = _poles_quiet(plant, gains)
-            except UnstableClosedLoop:
-                pass
-            else:
-                point.stable = True
-                point.dominant_zeta = report.dominant_zeta
-                point.dominant_omega_n = report.dominant_omega_n
-        points.append(point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DominanceWarning)
+        for q in q_grid(q_from, q_to, q_step):
+            point = _probe(plant, stage1_gains, phi, q)
+            if point.equivalent_gains is not None:
+                point.s_zero = s_zeros(stage1_gains, q)[0]
+            points.append(point)
     return points
 
 
@@ -156,68 +164,52 @@ def two_stage_tune(
     ``desired_zeta``; place single-stage gains at the achieved (zeta,
     omega_n) with the stage-1 dominance; build both inverse Riccati
     packages; compare costs via the difference eigenvalues and initial
-    efforts via the proportional gains (unit-step basis).
+    efforts via the proportional gains (unit-step basis). With ``refine``
+    the step is halved twice after the first hit to edge the chosen order
+    closer to the damping boundary.
 
-    With ``refine`` the step is halved twice after the first hit to edge the
-    chosen order closer to the damping boundary. Raises TargetUnreachable
-    when the grid exits the under-damped wedge (or runs out of orders)
-    before the desired damping is met.
+    The zeros stay under-damped only while q > phi/pi (phi the stage-1
+    w-plane zero angle), so the walk makes at most
+    floor((1 - phi/pi)/q_step) + 1 probes, and raises ValueError up front
+    when that exceeds MAX_Q_POINTS. Raises TargetUnreachable where the loop
+    is unstable or the zeros leave the wedge at a grid order, and when the
+    grid above phi/pi runs out, before the desired damping is met.
     """
     if not stage1_target.zeta_cl < desired_zeta < 1.0:
         raise ValueError(
             "desired_zeta must lie strictly between the stage-1 damping and 1"
         )
-    if not q_step > 0.0:
-        raise ValueError("q_step must be positive")
 
     stage1_gains = place_gains(plant, stage1_target)
     phi = w_zeros(stage1_gains).phi
 
-    def probe(q: float) -> tuple[PidGains, PoleReport] | None:
-        if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
-            return None
-        gains = equivalent_pid(stage1_gains, q)
-        try:
-            return gains, _poles_quiet(plant, gains)
-        except UnstableClosedLoop:
-            return None
-
-    chosen = None
-    step_count = 0
-    while True:
-        q = 1.0 - step_count * q_step
-        if q <= 0.0:
+    zeta_floor = desired_zeta - ZETA_SLACK
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DominanceWarning)
+        for q in q_grid(1.0, phi / math.pi, q_step):
+            chosen = _probe(plant, stage1_gains, phi, q)
+            if not chosen.stable:
+                raise TargetUnreachable(
+                    f"loop unstable or zeros outside the under-damped wedge "
+                    f"at q={q:g} before damping {desired_zeta:g} was reached"
+                )
+            if chosen.dominant_zeta >= zeta_floor:
+                break
+        else:
             raise TargetUnreachable(
-                f"no order in (0, 1] reaches damping {desired_zeta:g} "
-                f"on a {q_step:g} grid"
+                f"no order on the {q_step:g} grid above phi/pi="
+                f"{phi / math.pi:g} reaches damping {desired_zeta:g}"
             )
-        result = probe(q)
-        if result is None:
-            raise TargetUnreachable(
-                f"zeros left the under-damped wedge at q={q:g} before "
-                f"damping {desired_zeta:g} was reached"
-            )
-        if result[1].dominant_zeta >= desired_zeta - ZETA_SLACK:
-            chosen = (q, *result)
-            break
-        step_count += 1
+        if refine:
+            for half in (0.5 * q_step, 0.25 * q_step):
+                if chosen.q + half <= 1.0:
+                    candidate = _probe(plant, stage1_gains, phi, chosen.q + half)
+                    if candidate.stable and candidate.dominant_zeta >= zeta_floor:
+                        chosen = candidate
 
-    if refine:
-        q, gains, report = chosen
-        half = q_step
-        for _ in range(2):
-            half *= 0.5
-            candidate = q + half
-            if candidate > 1.0:
-                continue
-            result = probe(candidate)
-            if result is not None and result[1].dominant_zeta >= desired_zeta - ZETA_SLACK:
-                q, gains, report = candidate, *result
-        chosen = (q, gains, report)
-
-    chosen_q, suboptimal_gains, report = chosen
+    suboptimal_gains = chosen.equivalent_gains
     achieved = ClosedLoopTarget(
-        report.dominant_zeta, report.dominant_omega_n, stage1_target.m
+        chosen.dominant_zeta, chosen.dominant_omega_n, stage1_target.m
     )
     single_stage_gains = place_gains(plant, achieved)
     pkg_lqr = riccati_package(plant, single_stage_gains, r)
@@ -225,7 +217,7 @@ def two_stage_tune(
     eigs, definite = delta_p_eigenvalues(pkg_lqr.p, pkg_sub.p)
     return TuningReport(
         stage1_gains=stage1_gains,
-        chosen_q=chosen_q,
+        chosen_q=chosen.q,
         suboptimal_gains=suboptimal_gains,
         achieved_zeta=achieved.zeta_cl,
         achieved_omega_n=achieved.omega_n_cl,

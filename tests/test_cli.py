@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from fracpid import (
     place_gains,
     simulate_closed_loop,
     two_stage_tune,
+    w_zeros,
 )
 from fracpid import cli
 from fracpid.cli import MCURVE_HEADER, PRESETS, TRACE_HEADER, TUNE_HEADER, main
 from fracpid.simulate import DISTURBANCE_FRACTION
+from fracpid.tuner import MAX_Q_POINTS
 
 
 def run_cli(args):
@@ -203,6 +206,23 @@ def test_mcurve_bad_grid_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["mcurve", "tune"])
+def test_q_grid_over_the_cap_exits_2_at_once(command, capsys):
+    # 1e-9 asks mcurve for a 6e8-point list and tune for a 2.3e8-probe walk
+    q_from, q_to = cli.RunConfig.q_from, cli.RunConfig.q_to
+    if command == "tune":
+        p1 = PRESETS["p1"]
+        stage1 = place_gains(Plant(*p1["plant"]), ClosedLoopTarget(*p1["target"]))
+        q_from, q_to = 1.0, w_zeros(stage1).phi / math.pi
+    count = int((q_from - q_to) / 1e-9 + 1e-9) + 1
+    assert count > 1000 * MAX_Q_POINTS
+    start = time.perf_counter()
+    code, text = run_cli([command, "--preset", "p1", "--q-step", "1e-9"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, text) == (2, "")
+    assert f"q grid of {count} points exceeds the cap of {MAX_Q_POINTS}" in capsys.readouterr().err
+
+
 def test_mcurve_deterministic_output(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
@@ -340,6 +360,23 @@ def test_inverse_dumps_riccati_package():
 def test_inverse_unstable_gains_exit_3(capsys):
     code, _ = run_cli(["inverse", "--preset", "p1", "--gains", "0,0,0"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "p1", "--gains", "-200,10,-10"],
+        ["simulate", "--preset", "p1", "--gains", "65.6944,285.833,6.86667", "--gains2", "-1,2,3"],
+        ["inverse", "--preset", "p1", "--gains", "-1,2,3"],
+        ["mcurve", "--preset", "p1", "--q-from", "1", "--gains", "-1,2,3"],
+    ],
+)
+def test_negative_gain_list_after_a_space_reads_as_after_equals(argv, capsys):
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    with_equals = run_cli(joined), capsys.readouterr()
+    with_space = run_cli(argv), capsys.readouterr()
+    assert with_space == with_equals
+    assert with_space[0][0] == (0 if argv[0] == "mcurve" else 3)
 
 
 def test_unknown_preset_exits_2(capsys):

@@ -262,8 +262,18 @@ def test_third_row_consistency_with_full_construction():
             warnings.simplefilter("ignore")
             gains = place_gains(plant, target)
             p = p_from_gains(plant, gains, 1.0)
-        row = p_third_row(plant, target, 1.0)
-        assert max_rel_err((p.a13, p.a23, p.a33), row) <= 1e-10
+        r = float(rng.uniform(0.5, 2.0))
+        row = p_third_row(plant, target, r)
+        assert max_rel_err((p.a13 * r, p.a23 * r, p.a33 * r), row) <= 1e-10
+        # the placement formula spelled out term by term, to the last bit
+        zc, wc, m = target.zeta_cl, target.omega_n_cl, target.m
+        k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
+        g = r / (k * k)
+        assert row == (
+            m * zc * wc**3 * g,
+            (wc * wc * (1.0 + 2.0 * m * zc * zc) - wo * wo) * g,
+            ((2.0 + m) * zc * wc - 2.0 * zo * wo) * g,
+        )
 
 
 def test_riccati_package_bundles_and_validates():

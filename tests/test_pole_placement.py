@@ -134,6 +134,14 @@ def test_coefficient_identity():
         built = closed_loop_characteristic(plant, gains).coefficients()
         wanted = desired_characteristic(target).coefficients()
         assert max_rel_err(built, wanted) <= 1e-10
+        # the placement formula spelled out term by term, to the last bit
+        zc, wc, m = target.zeta_cl, target.omega_n_cl, target.m
+        k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
+        assert gains == PidGains(
+            (wc * wc * (1.0 + 2.0 * m * zc * zc) - wo * wo) / k,
+            m * zc * wc**3 / k,
+            ((2.0 + m) * zc * wc - 2.0 * zo * wo) / k,
+        )
 
 
 def test_non_positive_gain_warning():

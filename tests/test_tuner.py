@@ -1,13 +1,22 @@
 """Fractional-order sweep and the two-stage tuning procedure."""
 
 import math
+import random
+import tracemalloc
+import warnings
 
 import pytest
 from numpy.testing import assert_allclose
 
 from fracpid import (
+    ClosedLoopTarget,
+    DominanceWarning,
+    IndefiniteWeights,
+    Plant,
     TargetUnreachable,
+    UnstableClosedLoop,
     WedgeClass,
+    classify_wedge,
     closed_loop_poles,
     equivalent_pid,
     mcurve,
@@ -15,7 +24,7 @@ from fracpid import (
     two_stage_tune,
     w_zeros,
 )
-from fracpid.tuner import q_grid
+from fracpid.tuner import MAX_Q_POINTS, ZETA_SLACK, q_grid
 
 from cases import BENCHMARKS, gains_tuple, max_rel_err
 
@@ -42,6 +51,21 @@ def test_q_grid_validation():
         q_grid(2.5, 0.9, 0.1)
     with pytest.raises(ValueError):
         q_grid(1.1, -0.1, 0.1)
+
+
+def test_q_grid_caps_the_point_count_before_building():
+    step = 2.0**-17  # exact, so the grid ends exactly on q_to
+    assert len(q_grid(1.0, 1.0 - (MAX_Q_POINTS - 1) * step, step)) == MAX_Q_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"q grid of {MAX_Q_POINTS + 1} points"):
+            q_grid(1.0, 1.0 - MAX_Q_POINTS * step, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the capped list alone would take ~3 MB
+    with pytest.raises(ValueError, match="q grid of inf points"):
+        q_grid(1.5, 0.5, 5e-324)
 
 
 def test_q_grid_rejects_nan_step():
@@ -188,3 +212,122 @@ def test_single_stage_gains_exceed_suboptimal_on_benchmarks():
         assert single.kp > sub.kp
         assert single.ki > sub.ki
         assert single.kd > sub.kd
+
+
+# ---------------------------------------------------------------------------
+# the bounded stage-2 walk against an unbounded reference
+# ---------------------------------------------------------------------------
+
+def _reference_search(plant, stage1_target, desired_zeta, q_step, refine):
+    """Stage-2 search as an unbounded walk down from q = 1 that stops at the
+    first hit and fails at the first order outside the wedge or unstable.
+    Returns (chosen q, gains, pole report), or None when unreachable."""
+    stage1_gains = place_gains(plant, stage1_target)
+    phi = w_zeros(stage1_gains).phi
+
+    def probe(q):
+        if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
+            return None
+        gains = equivalent_pid(stage1_gains, q)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DominanceWarning)
+                return gains, closed_loop_poles(plant, gains)
+        except UnstableClosedLoop:
+            return None
+
+    step_count = 0
+    while True:
+        q = 1.0 - step_count * q_step
+        if q <= 0.0:
+            return None
+        result = probe(q)
+        if result is None:
+            return None
+        if result[1].dominant_zeta >= desired_zeta - ZETA_SLACK:
+            break
+        step_count += 1
+    gains, report = result
+    if refine:
+        half = q_step
+        for _ in range(2):
+            half *= 0.5
+            candidate = q + half
+            if candidate > 1.0:
+                continue
+            result = probe(candidate)
+            if result is not None and result[1].dominant_zeta >= desired_zeta - ZETA_SLACK:
+                q, (gains, report) = candidate, result
+    return q, gains, report
+
+
+def _bench_designs(seed, count):
+    """Random designs from the benchmark's design-sweep ranges and deck:
+    13/3/4 of every 20 at q_step 0.005/0.001/0.0002, some with refine."""
+    deck = ([(0.005, False)] * 10 + [(0.005, True)] * 3
+            + [(0.001, False)] * 2 + [(0.001, True)]
+            + [(0.0002, False)] * 3 + [(0.0002, True)])
+    rng = random.Random(seed)
+
+    def loguniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for i in range(count):
+        q_step, refine = deck[i % len(deck)]
+        plant = Plant(loguniform(0.5, 50.0), loguniform(0.05, 5.0), loguniform(0.1, 20.0))
+        zc, m = rng.uniform(0.5, 0.8), rng.uniform(6.0, 12.0)
+        wc = plant.omega_n_ol * max(1.0, plant.zeta_ol) * rng.uniform(2.5, 5.0)
+        desired = zc + (1.0 - zc) * rng.uniform(0.3, 0.75)
+        yield plant, ClosedLoopTarget(zc, wc, m), desired, q_step, refine
+
+
+def test_bounded_walk_matches_unbounded_reference_bit_for_bit():
+    outcomes = {"reached": 0, "unreachable": 0}
+    for plant, target, desired, q_step, refine in _bench_designs(seed=2, count=1000):
+        expected = _reference_search(plant, target, desired, q_step, refine)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IndefiniteWeights)
+                report = two_stage_tune(plant, target, desired, q_step=q_step, refine=refine)
+        except TargetUnreachable:
+            assert expected is None, (plant, target, desired, q_step, refine)
+            outcomes["unreachable"] += 1
+            continue
+        assert expected is not None, (plant, target, desired, q_step, refine)
+        q, gains, poles = expected
+        assert report.chosen_q == q
+        assert report.suboptimal_gains == gains
+        assert (report.achieved_zeta, report.achieved_omega_n) == (
+            poles.dominant_zeta, poles.dominant_omega_n
+        )
+        outcomes["reached"] += 1
+    assert outcomes["unreachable"] > 0 and outcomes["reached"] > 900
+
+
+def test_walk_on_a_coarser_than_unit_step_probes_only_unit_order():
+    # one grid point, q = 1, which leaves the stage-1 damping unchanged
+    with pytest.raises(TargetUnreachable, match="grid above phi/pi"):
+        two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=1.5)
+    assert _reference_search(P1.plant, P1.stage1, 0.93, 1.5, False) is None
+
+
+def test_walks_silence_dominance_warning_only_inside():
+    # m = 4 at q = 1; lowering q drops the dominance below 3 before the
+    # damping reaches 0.9 (q = 0.94, dominance ~2.26)
+    target = ClosedLoopTarget(0.75, 7.0, 4.0)
+    stage1 = place_gains(P1.plant, target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DominanceWarning)
+        before = list(warnings.filters)
+        points = mcurve(P1.plant, stage1, 1.0, 0.72, 0.01)
+        assert warnings.filters == before
+        report = two_stage_tune(P1.plant, target, desired_zeta=0.9)
+        assert warnings.filters == before
+        with pytest.raises(DominanceWarning):
+            closed_loop_poles(P1.plant, report.suboptimal_gains)
+    weak = [p for p in points if p.stable and p.q >= report.chosen_q]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DominanceWarning)
+        ratios = [closed_loop_poles(P1.plant, p.equivalent_gains).dominance_ratio for p in weak]
+    assert ratios[0] > 3.0 > ratios[-1]
+    assert len(caught) == sum(r < 3.0 for r in ratios) > 0
