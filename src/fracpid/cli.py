@@ -14,20 +14,18 @@ Exit codes: 0 success, 2 config or precondition error, 3 unstable loop,
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import math
 import sys
 import warnings
 from dataclasses import astuple, dataclass
 
-import numpy as np
-
 from .fractional_map import Q_SWEEP_HIGH, Q_SWEEP_LOW, OutsideWedge, RealZeros
 from .lqr_inverse import UnstableGains, riccati_package, RiccatiPackage
 from .numerics import NonFiniteState
 from .pole_placement import (
     ClosedLoopTarget,
+    DominanceWarning,
     PidGains,
     Plant,
     UnstableClosedLoop,
@@ -196,6 +194,8 @@ _SCHEMA = {
 
 
 def _load_config_file(path: str, cfg: RunConfig) -> None:
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -435,6 +435,8 @@ def _cmd_mcurve(args: argparse.Namespace, out) -> int:
 
 
 def _trace_csv(trace: Trace) -> str:
+    import numpy as np
+
     # every cell is a float, so each block of rows takes one % operation
     rows = np.column_stack((trace.t, trace.r, trace.y, trace.u, trace.d))
     parts = [TRACE_HEADER + "\n"]
@@ -480,7 +482,10 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         controllers = [("a", cfg.gains)]
         if cfg.gains2 is not None:
             controllers.append(("b", cfg.gains2))
-        rep = closed_loop_poles(plant, cfg.gains)
+        with warnings.catch_warnings():
+            # simulate_closed_loop warns for each controller below
+            warnings.simplefilter("ignore", DominanceWarning)
+            rep = closed_loop_poles(plant, cfg.gains)
         zeta_scale, omega_scale = rep.dominant_zeta, rep.dominant_omega_n
     else:
         target = _require_target(cfg)
@@ -501,6 +506,12 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         disturbance_time=cfg.disturbance_time,
         **sized,
     )
+    # every controller is simulated, and may fail, before anything is written
+    results = []
+    for label, gains in controllers:
+        trace = simulate_closed_loop(plant, gains, scenario)
+        results.append((label, gains, trace, metrics(trace, gains, scenario)))
+
     disturbance_note = ""
     if scenario.disturbance_amplitude != 0.0:
         disturbance_note = f" at t={fmt(scenario.resolved_disturbance_time())}"
@@ -513,26 +524,22 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         f"disturbance={fmt(scenario.disturbance_amplitude)}{disturbance_note}\n"
     )
 
-    results = []
-    for label, gains in controllers:
-        trace = simulate_closed_loop(plant, gains, scenario)
-        m = metrics(trace, gains, scenario)
-        results.append((label, trace, m))
+    for label, gains, _trace, m in results:
         out.write(f"controller ({label}): {_fmt_gains(gains)}\n")
         out.write("\n".join(_metrics_lines(label, m)) + "\n")
 
     if len(results) == 1:
-        _write_text(cfg.out, _trace_csv(results[0][1]), out)
+        _write_text(cfg.out, _trace_csv(results[0][2]), out)
     else:
-        for label, trace, _m in results:
+        for label, _gains, trace, _m in results:
             path = _out_path_for(cfg.out, label)
             if path is None:
                 out.write(f"trace ({label}):\n")
                 out.write(_trace_csv(trace))
             else:
                 _write_text(path, _trace_csv(trace), out)
-        (_, trace_a, met_a), (_, trace_b, met_b) = results
-        max_dy = float(np.abs(trace_a.y - trace_b.y).max())
+        (_, _, trace_a, met_a), (_, _, trace_b, met_b) = results
+        max_dy = float(abs(trace_a.y - trace_b.y).max())
         out.write("comparison (first/second):\n")
         out.write(
             f"  initial_control ratio: {fmt(met_a.initial_control / met_b.initial_control)}\n"

@@ -136,11 +136,17 @@ def equivalent_pid(gains: PidGains, q: float) -> PidGains:
     """Integer-order PID with its zeros at the order-q mapped positions.
 
     Identity at q=1. Inside the under-damped wedge ``cos(phi/q)`` is
-    negative, so all three equivalent gains come out positive.
+    negative, so all three equivalent gains come out positive. Raises
+    ValueError when a mapped gain overflows the float range.
     """
     phi = _phi_in_wedge(gains, q)
-    return PidGains(
-        kp=-2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q),
-        ki=gains.ki ** (1.0 / q),
-        kd=gains.kd ** (1.0 / q),
-    )
+    try:
+        return PidGains(
+            kp=-2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q),
+            ki=gains.ki ** (1.0 / q),
+            kd=gains.kd ** (1.0 / q),
+        )
+    except (OverflowError, ValueError) as exc:
+        # finite gains map to a non-finite one only by overflow: past the
+        # float range in ``**`` (OverflowError) or to inf (PidGains rejects it)
+        raise ValueError(f"equivalent gains of {gains} overflow at q={q:g}") from exc

@@ -14,8 +14,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import Sym3, eig_sym3
 from .pole_placement import (
     ClosedLoopTarget,
@@ -75,6 +73,8 @@ class RiccatiPackage:
 
 def system_matrices(plant: Plant) -> StateSpace3:
     """Regulator-state model of the plant: two shift rows plus the plant row."""
+    import numpy as np
+
     wo2 = plant.omega_n_ol**2
     a = np.array(
         [
@@ -157,6 +157,8 @@ def care_residual(
 ) -> float:
     """Frobenius norm of the algebraic Riccati equation residual, normalized
     by max(1, ||Q||_F) so the tolerance is scale-free."""
+    import numpy as np
+
     a, b = ss.a, ss.b.reshape(3, 1)
     pm = p.as_matrix()
     q = np.diag(q_diag)
@@ -174,6 +176,8 @@ def gains_from_p(p: Sym3, k: float, r: float = 1.0) -> PidGains:
 
 def cost_for_initial_state(p: Sym3, x0) -> float:
     """Quadratic regulator cost ``x0^T P x0`` for an initial state."""
+    import numpy as np
+
     x = np.asarray(x0, dtype=float)
     return float(x @ p.as_matrix() @ x)
 

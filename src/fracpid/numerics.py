@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "Cubic",
     "RootTriple",
@@ -88,6 +86,8 @@ class Sym3:
     a33: float
 
     def as_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [
                 [self.a11, self.a12, self.a13],
@@ -104,6 +104,8 @@ class Sym3:
         Raises ValueError if the asymmetry exceeds ``tol`` relative to the
         largest entry.
         """
+        import numpy as np
+
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -245,6 +247,8 @@ def solve_cubic(c: Cubic) -> RootTriple:
 
 def eig_sym3(m: Sym3) -> tuple[float, float, float]:
     """Eigenvalues of a symmetric 3x3 matrix, ascending (LAPACK ``eigvalsh``)."""
+    import numpy as np
+
     e = np.linalg.eigvalsh(m.as_matrix())
     return float(e[0]), float(e[1]), float(e[2])
 
@@ -252,6 +256,8 @@ def eig_sym3(m: Sym3) -> tuple[float, float, float]:
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential: degree-19 Taylor sum of ``a`` scaled to norm < 1/2,
     then squared back (Moler & Van Loan 2003, "Nineteen dubious ways...")."""
+    import numpy as np
+
     squarings = max(0, math.frexp(float(np.abs(a).sum(axis=1).max()))[1] + 1)
     a = a / 2.0**squarings
     term = result = np.eye(len(a))
@@ -275,6 +281,8 @@ def integrate_fixed_step(
     ``(t, states)`` with ``floor(t_end/dt) + 1`` samples, one row each.
     Raises NonFiniteState if any sample is not finite.
     """
+    import numpy as np
+
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_end < dt:

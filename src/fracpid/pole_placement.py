@@ -178,12 +178,12 @@ def closed_loop_characteristic(plant: Plant, gains: PidGains) -> Cubic:
 def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
     """Solve the closed-loop cubic and report the dominant pole pattern.
 
-    Raises UnstableClosedLoop if any pole has non-negative real part. Warns
+    Raises UnstableClosedLoop unless every pole has a negative real part. Warns
     DominanceWarning when the achieved dominance ratio falls below 3, the
     floor under which the real pole visibly distorts the response.
     """
     triple = solve_cubic(closed_loop_characteristic(plant, gains))
-    if any(r.real >= 0.0 for r in triple.roots):
+    if not all(r.real < 0.0 for r in triple.roots):
         raise UnstableClosedLoop(f"closed-loop poles {triple.roots} are not all in the left half plane")
 
     pair = triple.conjugate_pair()

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import integrate_fixed_step
 from .pole_placement import PidGains, Plant, closed_loop_poles
 
@@ -27,8 +25,6 @@ __all__ = [
     "simulate_closed_loop",
     "metrics",
 ]
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
 SETTLING_BAND = 0.02
 # fraction of the step used for the default load disturbance, applied at
@@ -130,6 +126,8 @@ def simulate_closed_loop(plant: Plant, gains: PidGains, scenario: ScenarioSpec) 
     UnstableClosedLoop, before sampling, when the gains do not stabilize the
     loop; warns DominanceWarning as closed_loop_poles does.
     """
+    import numpy as np
+
     # roots come sorted by |Re|, the dominant pole first
     dom = abs(closed_loop_poles(plant, gains).roots.roots[0])
     if scenario.dt > 0.05 / dom:
@@ -175,7 +173,7 @@ def _first_crossing(t: np.ndarray, y: np.ndarray, level: float) -> float:
     above = y >= level
     if not above.any():
         return math.nan
-    idx = int(np.argmax(above))
+    idx = int(above.argmax())
     if idx == 0:
         return float(t[0])
     frac = (level - y[idx - 1]) / (y[idx] - y[idx - 1])
@@ -189,6 +187,9 @@ def metrics(trace: Trace, gains: PidGains, scenario: ScenarioSpec) -> ResponseMe
     disturbance kicks in; control effort statistics cover the whole trace.
     The output is normalized by the step, so downward steps work too.
     """
+    import numpy as np
+
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
     step = scenario.step_amplitude
     if step == 0.0:
         raise ValueError("step-response metrics need a nonzero step amplitude")
@@ -226,7 +227,7 @@ def metrics(trace: Trace, gains: PidGains, scenario: ScenarioSpec) -> ResponseMe
         settling_time_2pct=settling,
         peak_control=float(np.abs(trace.u).max()),
         initial_control=initial,
-        iae=float(_trapezoid(np.abs(trace.r - trace.y), trace.t)),
-        control_ise=float(_trapezoid(trace.u**2, trace.t)),
+        iae=float(trapezoid(np.abs(trace.r - trace.y), trace.t)),
+        control_ise=float(trapezoid(trace.u**2, trace.t)),
         settled=settled,
     )

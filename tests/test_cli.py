@@ -2,7 +2,11 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 
 from fracpid import (
     ClosedLoopTarget,
+    DominanceWarning,
     Plant,
     ResponseMetrics,
     Trace,
@@ -199,6 +204,14 @@ def test_mcurve_stability_column_flips_once():
     assert cells[1] == "" and cells[-2] == "hyper-damped"
 
 
+def test_mcurve_overflowing_equivalent_gains_exit_2(capsys):
+    for q in ("0.6", "0.7"):
+        argv = ["mcurve", "--preset", "p1", "--gains=1e3,1e200,1e200", "--q-from", q, "--q-to", q]
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"overflow at q={q}\n" in err
+
+
 def test_mcurve_bad_grid_exits_2(capsys):
     code, _ = run_cli(["mcurve", "--preset", "p1", "--q-step", "-0.1"])
     assert code == 2
@@ -285,6 +298,21 @@ def test_simulate_config_file_with_two_gain_sections(tmp_path):
 def test_simulate_zero_gains_exits_3(capsys):
     code, _ = run_cli(["simulate", "--preset", "p1", "--gains", "0,0,0"])
     assert code == 3
+
+
+def test_simulate_unstable_second_controller_writes_nothing(tmp_path, capsys):
+    base = ["simulate", "--preset", "p1", "--gains", "65.6944,285.833,6.86667", "--gains2=-1,2,3"]
+    assert run_cli(base) == (3, "")
+    assert "not all in the left half plane" in capsys.readouterr().err
+    assert run_cli(base + ["--out", str(tmp_path / "t.csv")]) == (3, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_weak_dominance_warns_once():
+    with pytest.warns(DominanceWarning) as record:
+        code, _ = run_cli(["simulate", "--preset", "p1", "--gains", "100,10,1"])
+    assert code == 0
+    assert len(record) == 1
 
 
 def test_simulate_metrics_stable_under_step_halving():
@@ -575,3 +603,46 @@ def test_tune_csv_matches_reference(name):
 @example(9.999995)
 def test_fmt_is_the_percent_rule(x):
     assert cli.fmt(x) == cli._cell(x) == "%.6g" % x == ref_fmt(x)
+
+
+# ---------------------------------------------------------------------------
+# import cost: numpy is loaded by the first array, not by the import
+# ---------------------------------------------------------------------------
+
+NUMPY_PROBE = """
+import io, sys
+import fracpid, fracpid.cli
+print("import", "numpy" in sys.modules)
+names = {}
+exec("from fracpid import *", names)
+print("unbound", sorted(set(fracpid.__all__) - set(names)))
+for label, argv in (
+    ("place", ["place", "--preset", "p1"]),
+    ("mcurve", ["mcurve", "--preset", "p1"]),
+    ("config", ["place", "--config", sys.argv[1]]),
+    ("tune", ["tune", "--preset", "p1"]),
+):
+    code = fracpid.cli.main(argv, out=io.StringIO())
+    print(label, code, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_stays_off_the_import_path(tmp_path):
+    config = tmp_path / "unknown.ini"
+    config.write_text("[plant]\nk = 9\nzeta_ol = 0.2\nomega_n_ol = 3\nbogus = 1\n")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, str(config)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines() == [
+        "import False",
+        "unbound []",
+        "place 0 False",
+        "mcurve 0 False",
+        "config 2 False",
+        "tune 0 True",
+    ]
+    assert "bogus" in done.stderr

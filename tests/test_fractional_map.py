@@ -198,6 +198,16 @@ def test_equivalent_pid_outside_wedge():
         equivalent_pid(P1_STAGE1, 0.7)
 
 
+@pytest.mark.parametrize("q", [0.6, 0.7])
+def test_equivalent_pid_overflow_names_the_order(q):
+    # at 0.6 ki**(1/q) overflows the float range, at 0.7 ki*kd overflows to inf;
+    # both gains are finite, so "gains must be finite" would blame the input
+    gains = PidGains(1e3, 1e200, 1e200)
+    assert classify_wedge(w_zeros(gains).phi, q) is WedgeClass.UNDER_DAMPED
+    with pytest.raises(ValueError, match=f"overflow at q={q:g}$"):
+        equivalent_pid(gains, q)
+
+
 @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)
 def test_zero_angle_tightens_as_order_drops(bench):
     # the mapped zeros swing toward the negative real axis as q decreases

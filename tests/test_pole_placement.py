@@ -1,5 +1,6 @@
 """Pole-placement gain synthesis and the achieved pole pattern."""
 
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from fracpid import (
     NonPositiveGain,
     PidGains,
     Plant,
+    RootTriple,
     ScenarioSpec,
     UnstableClosedLoop,
     closed_loop_characteristic,
@@ -19,6 +21,7 @@ from fracpid import (
     desired_characteristic,
     m_study,
     place_gains,
+    pole_placement,
     solve_cubic,
 )
 
@@ -91,6 +94,14 @@ def test_closed_loop_poles_equivalent_design():
 def test_closed_loop_poles_rejects_marginal_loop():
     with pytest.raises(UnstableClosedLoop):
         closed_loop_poles(Plant(1, 0.2, 0.1), PidGains(0.0, 0.0, 0.0))
+
+
+def test_closed_loop_poles_rejects_nan_root(monkeypatch):
+    # a NaN real part compares False against 0 either way; it is not stable
+    nan_root = RootTriple((complex(math.nan, 0.0), complex(-1.0, -2.0), complex(-1.0, 2.0)))
+    monkeypatch.setattr(pole_placement, "solve_cubic", lambda c: nan_root)
+    with pytest.raises(UnstableClosedLoop):
+        closed_loop_poles(Plant(9, 0.2, 3), PidGains(65.6944, 285.8333, 6.8667))
 
 
 def test_roundtrip_property_random_designs():
