@@ -124,12 +124,23 @@ def s_zeros(gains: PidGains, q: float) -> tuple[complex, complex]:
 
     Returns the conjugate pair (upper, lower). Requires the under-damped
     wedge classification, otherwise the mapped zeros would not produce
-    stable oscillatory dynamics (OutsideWedge).
+    stable oscillatory dynamics (OutsideWedge). Raises ValueError when the
+    mapped zero overflows the float range.
     """
-    angle = _phi_in_wedge(gains, q) / q
-    mag = (gains.ki / gains.kd) ** (1.0 / (2.0 * q))
-    upper = complex(mag * math.cos(angle), mag * math.sin(angle))
+    upper = _s_zero_at(gains, _phi_in_wedge(gains, q), q)
     return upper, upper.conjugate()
+
+
+def _s_zero_at(gains: PidGains, phi: float, q: float) -> complex:
+    # upper s-plane zero of gains whose w-plane angle phi is under-damped at q
+    angle = phi / q
+    try:
+        mag = (gains.ki / gains.kd) ** (1.0 / (2.0 * q))
+        if not 0.0 < mag < math.inf:  # ki/kd left the float range; take it in logs
+            mag = math.exp((math.log(gains.ki) - math.log(gains.kd)) / (2.0 * q))
+    except OverflowError as exc:
+        raise ValueError(f"s-plane zero of {gains} overflows at q={q:g}") from exc
+    return complex(mag * math.cos(angle), mag * math.sin(angle))
 
 
 def equivalent_pid(gains: PidGains, q: float) -> PidGains:
@@ -139,7 +150,11 @@ def equivalent_pid(gains: PidGains, q: float) -> PidGains:
     negative, so all three equivalent gains come out positive. Raises
     ValueError when a mapped gain overflows the float range.
     """
-    phi = _phi_in_wedge(gains, q)
+    return _equivalent_at(gains, _phi_in_wedge(gains, q), q)
+
+
+def _equivalent_at(gains: PidGains, phi: float, q: float) -> PidGains:
+    # equivalent_pid of gains whose w-plane angle phi is under-damped at q
     try:
         return PidGains(
             kp=-2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q),

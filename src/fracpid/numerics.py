@@ -23,6 +23,13 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_THIRD = 1.0 / 3.0
+
+# solve_cubic rescales s unless the largest root's magnitude lies in about
+# 2**±64; every |ak| below 2**63 |a3| and |a2| at least 2**-63 |a3| imply
+# that without reading the exponents
+_SCALE_WINDOW = 64
+_RATIO_LO, _RATIO_HI = 2.0**-63, 2.0**63
 
 
 class DegenerateLeadingCoefficient(ValueError):
@@ -132,65 +139,61 @@ class Sym3:
         )
 
 
-def _cbrt(x: float) -> float:
-    """Sign-preserving real cube root."""
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _polish_real(c: Cubic, x: float, steps: int = 2) -> float:
-    # guarded Newton: keep a step only if it reduces the residual
-    best = abs(c(x))
-    for _ in range(steps):
-        d = c.derivative(x).real
+def _polish_real(a3: float, a2: float, a1: float, a0: float, x: float) -> float:
+    # two guarded Newton steps: keep a step only if it reduces the residual
+    f = ((a3 * x + a2) * x + a1) * x + a0
+    best = abs(f)
+    for _ in range(2):
+        d = (3.0 * a3 * x + 2.0 * a2) * x + a1
         if d == 0.0:
             break
-        candidate = x - c(x).real / d
+        candidate = x - f / d
         if not math.isfinite(candidate):
             break
-        residual = abs(c(candidate))
-        if residual >= best:
+        f = ((a3 * candidate + a2) * candidate + a1) * candidate + a0
+        if abs(f) >= best:
             break
-        x, best = candidate, residual
+        x, best = candidate, abs(f)
     return x
 
 
-def _polish_complex(c: Cubic, z: complex) -> complex:
-    d = c.derivative(z)
-    if d != 0.0:
-        candidate = z - c(z) / d
-        if (
-            math.isfinite(candidate.real)
-            and math.isfinite(candidate.imag)
-            and abs(c(candidate)) < abs(c(z))
-        ):
-            z = candidate
-    return z
-
-
-def _deflated_pair(c: Cubic, anchor: float) -> list[complex]:
+def _deflated_pair(a3: float, a2: float, a1: float, a0: float, anchor: float) -> list[complex]:
     """Remaining two roots after dividing out ``(s - anchor)``.
 
     Synthetic division followed by the cancellation-free quadratic formula;
     this keeps a nearly repeated pair accurate where the depressed-cubic
-    discriminant has already lost its digits.
+    discriminant has already lost its digits. A complex pair comes lower
+    root first, after one guarded Newton step on its upper root.
     """
-    b2 = c.a3
-    b1 = c.a2 + anchor * b2
-    b0 = c.a1 + anchor * b1
-    disc = b1 * b1 - 4.0 * b2 * b0
+    b1 = a2 + anchor * a3
+    b0 = a1 + anchor * b1
+    disc = b1 * b1 - 4.0 * a3 * b0
     if disc < 0.0:
-        upper = complex(-b1 / (2.0 * b2), math.sqrt(-disc) / (2.0 * abs(b2)))
-        upper = _polish_complex(c, upper)
-        return [
-            complex(upper.real, -abs(upper.imag)),
-            complex(upper.real, abs(upper.imag)),
-        ]
+        z = complex(-b1 / (2.0 * a3), math.sqrt(-disc) / (2.0 * abs(a3)))
+        d = (3.0 * a3 * z + 2.0 * a2) * z + a1
+        if d != 0.0:
+            f = ((a3 * z + a2) * z + a1) * z + a0
+            w = z - f / d
+            if (
+                math.isfinite(w.real)
+                and math.isfinite(w.imag)
+                and abs(((a3 * w + a2) * w + a1) * w + a0) < abs(f)
+            ):
+                z = w
+        return [complex(z.real, -abs(z.imag)), complex(z.real, abs(z.imag))]
     big = -0.5 * (b1 + math.copysign(math.sqrt(disc), b1))
-    if big != 0.0:
-        pair = [big / b2, b0 / big]
-    else:  # b1 == 0 and disc == 0
-        pair = [0.0, 0.0]
-    return [complex(_polish_real(c, r), 0.0) for r in pair]
+    pair = (big / a3, b0 / big) if big != 0.0 else (0.0, 0.0)  # else b1 == disc == 0
+    return [complex(_polish_real(a3, a2, a1, a0, r), 0.0) for r in pair]
+
+
+def _rescale_exponent(a3: float, a2: float, a1: float, a0: float) -> int:
+    # e with 2**e about the largest root's magnitude: the Fujiwara bound
+    # max |ak/a3|**(1/k) read off binary exponents, rounded up so every
+    # |ak/a3| / 2**(k*e) < 2; 0 inside the window
+    e3 = math.frexp(a3)[1]
+    terms = ((1, a2), (2, a1), (3, a0))
+    e = max((-((e3 - math.frexp(a)[1]) // k) for k, a in terms if a != 0.0), default=0)
+    return e if abs(e) > _SCALE_WINDOW else 0
 
 
 def solve_cubic(c: Cubic) -> RootTriple:
@@ -202,47 +205,72 @@ def solve_cubic(c: Cubic) -> RootTriple:
     solve. The deflation step keeps nearly repeated pairs accurate where the
     branch discriminant cancels, which matters when a conjugate pair
     collapses onto the real axis at the end of fractional-order sweeps.
-    """
-    scale = max(abs(c.a3), abs(c.a2), abs(c.a1), abs(c.a0))
-    if c.a3 == 0.0 or abs(c.a3) <= 1e-14 * scale:
-        raise DegenerateLeadingCoefficient(
-            f"leading coefficient {c.a3!r} is negligible against {scale!r}"
-        )
 
-    b = c.a2 / c.a3
-    c1 = c.a1 / c.a3
-    d0 = c.a0 / c.a3
+    When the largest root's magnitude lies outside about 2**±64, s is first
+    rescaled by a power of two (exact in binary) so the cubic is solved with
+    its largest root near 1; cubics inside that window are solved as given.
+    Raises DegenerateLeadingCoefficient when the leading coefficient of the
+    cubic so solved is zero or negligible against the largest one, or when
+    a root lies beyond the float range.
+    """
+    a3, a2, a1, a0 = c.a3, c.a2, c.a1, c.a0
+    scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
+    e = 0
+    if a3 != 0.0 and not (scale < _RATIO_HI * abs(a3) and abs(a2) >= _RATIO_LO * abs(a3)):
+        e = _rescale_exponent(a3, a2, a1, a0)
+    if e:
+        # solve for t = s / 2**e, with the leading coefficient in [0.5, 1)
+        lead = -math.frexp(a3)[1]
+        a3, a2, a1, a0 = (math.ldexp(a, lead - k * e) for k, a in enumerate((a3, a2, a1, a0)))
+        scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
+    if a3 == 0.0 or abs(a3) <= 1e-14 * scale:
+        raise DegenerateLeadingCoefficient(f"leading coefficient {c.a3!r} is negligible against {scale!r}")
+
+    b = a2 / a3
+    c1 = a1 / a3
+    d0 = a0 / a3
     shift = -b / 3.0
 
     p = c1 - b * b / 3.0
     q = 2.0 * b**3 / 27.0 - b * c1 / 3.0 + d0
 
     if p == 0.0 and q == 0.0:
-        r = complex(shift, 0.0)
-        return RootTriple((r, r, r))
-
-    h = 0.25 * q * q + p**3 / 27.0
-    if h > 0.0:
-        # the lone real root is the reliable anchor
-        sqrt_h = math.sqrt(h)
-        anchor = _cbrt(-0.5 * q + sqrt_h) + _cbrt(-0.5 * q - sqrt_h) + shift
+        roots = (complex(shift, 0.0),) * 3
     else:
-        # three real roots: anchor on the one farthest from the other two
-        s0 = math.sqrt(-p / 3.0)
-        arg = min(1.0, max(-1.0, -0.5 * q / s0**3))
-        theta = math.acos(arg)
-        candidates = [
-            2.0 * s0 * math.cos((theta + _TWO_PI * k) / 3.0) + shift for k in range(3)
-        ]
-        anchor = max(
-            candidates,
-            key=lambda t: min(abs(t - other) for other in candidates if other is not t),
-        )
-
-    anchor = _polish_real(c, anchor)
-    roots = [complex(anchor, 0.0)] + _deflated_pair(c, anchor)
-    roots.sort(key=lambda z: (abs(z.real), z.imag))
-    return RootTriple((roots[0], roots[1], roots[2]))
+        h = 0.25 * q * q + p**3 / 27.0
+        if h > 0.0:
+            # the lone real root is the reliable anchor
+            sqrt_h = math.sqrt(h)
+            u, v = -0.5 * q + sqrt_h, -0.5 * q - sqrt_h
+            anchor = math.copysign(abs(u) ** _THIRD, u) + math.copysign(abs(v) ** _THIRD, v) + shift
+        else:
+            # three real roots: anchor on the one farthest from the other two
+            s0 = math.sqrt(-p / 3.0)
+            theta = math.acos(min(1.0, max(-1.0, -0.5 * q / s0**3)))
+            t0, t1, t2 = (2.0 * s0 * math.cos((theta + _TWO_PI * k) / 3.0) + shift for k in range(3))
+            g0, g1 = min(abs(t0 - t1), abs(t0 - t2)), min(abs(t1 - t0), abs(t1 - t2))
+            anchor, gap = (t1, g1) if g1 > g0 else (t0, g0)
+            if min(abs(t2 - t0), abs(t2 - t1)) > gap:
+                anchor = t2
+        anchor = _polish_real(a3, a2, a1, a0, anchor)
+        lo, hi = _deflated_pair(a3, a2, a1, a0, anchor)
+        real = complex(anchor, 0.0)
+        if lo.imag == 0.0:
+            roots = sorted((real, lo, hi), key=lambda z: (abs(z.real), z.imag))
+        elif abs(anchor) < abs(lo.real):  # a conjugate pair: order by |Re|, then Im
+            roots = real, lo, hi
+        elif abs(anchor) > abs(lo.real):
+            roots = lo, hi, real
+        else:
+            roots = lo, real, hi
+    if e:
+        try:
+            roots = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in roots]
+        except OverflowError:
+            raise DegenerateLeadingCoefficient(
+                f"leading coefficient {c.a3!r} is negligible: a root lies beyond the float range"
+            ) from None
+    return RootTriple(tuple(roots))
 
 
 def eig_sym3(m: Sym3) -> tuple[float, float, float]:

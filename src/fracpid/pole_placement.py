@@ -183,21 +183,21 @@ def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
     floor under which the real pole visibly distorts the response.
     """
     triple = solve_cubic(closed_loop_characteristic(plant, gains))
-    if not all(r.real < 0.0 for r in triple.roots):
+    r0, r1, r2 = triple.roots
+    if not (r0.real < 0.0 and r1.real < 0.0 and r2.real < 0.0):
         raise UnstableClosedLoop(f"closed-loop poles {triple.roots} are not all in the left half plane")
 
-    pair = triple.conjugate_pair()
-    if pair is not None:
-        dom = pair[1]
-        zeta = -dom.real / abs(dom)
+    # roots are sorted by |Re| then Im: a conjugate pair's upper root follows its lower one
+    dom = r2 if r2.imag != 0.0 else r1
+    if dom.imag != 0.0:
         omega = abs(dom)
-        real_pole = next(r.real for r in triple.roots if r.imag == 0.0)
+        zeta = -dom.real / omega
+        real_pole = (r0 if r0.imag == 0.0 else r1 if r1.imag == 0.0 else r2).real
     else:
         # all-real pattern: continuous limit of the pair collapsing onto the axis
-        reals = sorted(triple.real_roots(), key=abs)
         zeta = 1.0
-        omega = abs(reals[0])
-        real_pole = reals[1]
+        omega = abs(r0.real)
+        real_pole = r1.real
 
     ratio = abs(real_pole) / (zeta * omega)
     if ratio < DOMINANCE_FLOOR:

@@ -14,13 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .fractional_map import (
-    WedgeClass,
-    classify_wedge,
-    equivalent_pid,
-    s_zeros,
-    w_zeros,
-)
+from .fractional_map import WedgeClass, _equivalent_at, _s_zero_at, classify_wedge, w_zeros
 from .lqr_inverse import RiccatiPackage, delta_p_eigenvalues, riccati_package
 from .pole_placement import (
     ClosedLoopTarget,
@@ -109,11 +103,12 @@ def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
 
 
 def _probe(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
-    # one M-curve point without its s-plane zero; callers ignore
-    # DominanceWarning around their whole walk, as it belongs to designs
+    # one M-curve point without its s-plane zero, phi the stage-1 w-plane
+    # zero angle; callers ignore DominanceWarning around their whole walk, as
+    # it belongs to designs
     point = MCurvePoint(q=q, wedge=classify_wedge(phi, q), stable=False)
     if point.wedge is WedgeClass.UNDER_DAMPED:
-        point.equivalent_gains = equivalent_pid(stage1_gains, q)
+        point.equivalent_gains = _equivalent_at(stage1_gains, phi, q)
         try:
             report = closed_loop_poles(plant, point.equivalent_gains)
         except UnstableClosedLoop:
@@ -144,7 +139,7 @@ def mcurve(
         for q in q_grid(q_from, q_to, q_step):
             point = _probe(plant, stage1_gains, phi, q)
             if point.equivalent_gains is not None:
-                point.s_zero = s_zeros(stage1_gains, q)[0]
+                point.s_zero = _s_zero_at(stage1_gains, phi, q)
             points.append(point)
     return points
 

@@ -212,6 +212,51 @@ def test_mcurve_overflowing_equivalent_gains_exit_2(capsys):
         assert err.startswith("error: ") and f"overflow at q={q}\n" in err
 
 
+def test_mcurve_overflowing_s_plane_zero_exits_2(capsys):
+    # the loop is solved once rescaled, but |s_zero| = (ki/kd)**(1/2q) ~ 1e310
+    argv = ["mcurve", "--preset", "p1", "--gains=-0.1755,1e61,1e-63", "--q-from", "0.2", "--q-to", "0.2"]
+    assert run_cli(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: s-plane zero of ") and err.endswith(" overflows at q=0.2\n")
+
+
+def test_mcurve_point_with_a_huge_closed_loop_root_is_printed(capsys):
+    # the closed loop at q = 1.3 is s^3 + ... + 5.29e231, roots near 1.7e77
+    argv = ["mcurve", "--preset", "p1", "--gains=1,1e300,1e-300", "--q-from", "1.3", "--q-to", "1.3"]
+    code, text = run_cli(argv)
+    assert (code, capsys.readouterr().err) == (0, "")
+    header, row = text.splitlines()
+    cells = row.split(",")
+    assert cells[0] == "1.3" and cells[-2:] == ["under-damped", "false"]
+    assert all(math.isfinite(float(v)) for v in cells[1:6])  # gains and zero; no pole cells
+
+
+@pytest.mark.parametrize("omega,printed", [("1e-100", "1e-100"), ("1e100", "1e+100")])
+def test_place_at_extreme_frequency_scales(tmp_path, omega, printed):
+    config = tmp_path / "scale.ini"
+    config.write_text(
+        f"[plant]\nk = 1\nzeta_ol = 0.5\nomega_n_ol = {omega}\n"
+        f"[target]\nzeta_cl = 0.75\nomega_n_cl = {omega}\nm = 10\n"
+    )
+    code, text = run_cli(["place", "--config", str(config)])
+    assert code == 0
+    assert f"dominant: zeta=0.75 omega_n={printed}\n" in text
+    assert "real pole: -7.5e" in text and "dominance ratio: 10\n" in text
+
+
+def test_place_with_an_underflowing_integral_gain_exits_3(tmp_path, capsys):
+    # m*zeta*omega**3 = 7.5e-330 is below the smallest float, so ki = 0 and
+    # the loop has an exact pole at 0: a typed stability error, not a crash
+    config = tmp_path / "tiny.ini"
+    config.write_text(
+        "[plant]\nk = 1\nzeta_ol = 0.5\nomega_n_ol = 1e-110\n"
+        "[target]\nzeta_cl = 0.75\nomega_n_cl = 1e-110\nm = 10\n"
+    )
+    assert run_cli(["place", "--config", str(config)]) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: closed-loop poles (0j, ") and "left half plane" in err
+
+
 def test_mcurve_bad_grid_exits_2(capsys):
     code, _ = run_cli(["mcurve", "--preset", "p1", "--q-step", "-0.1"])
     assert code == 2

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -17,7 +19,9 @@ from fracpid import (
     solve_cubic,
 )
 
+from fracpid import numerics
 from cases import P_HIGH_PUBLISHED, P_LOW_PUBLISHED, DELTA_EIGS_ORACLE
+from frozen_solver import FrozenDegenerate, frozen_solve_cubic
 
 
 def sorted_np_roots(coeffs):
@@ -158,6 +162,126 @@ def test_cubic_sum_product_invariants():
         prod = roots[0] * roots[1] * roots[2]
         assert abs(total - (-a2)) <= 1e-8 * max(1.0, abs(a2))
         assert abs(prod - (-a0)) <= 1e-8 * max(1.0, abs(a0))
+
+
+# ---------------------------------------------------------------------------
+# solve_cubic against its frozen earlier copy, and at hostile scales
+# ---------------------------------------------------------------------------
+
+def _magnitude(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _signed(magnitude):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitude).map(lambda t: t[0] * t[1])
+
+
+_ROOT = _signed(_magnitude(-6, 6))
+_SPLIT = _magnitude(-12, -3)  # relative gap of a nearly repeated root
+
+
+@st.composite
+def _window_cubics(draw):
+    """Coefficients of cubics whose largest root lies well inside the
+    unscaled window: both branches, near-repeated roots and exact triple
+    roots, scaled by 1e+-12."""
+    kind = draw(st.sampled_from(("real", "pair", "near-real", "near-pair", "triple", "raw")))
+    if kind == "raw":
+        coeffs = [draw(_signed(_magnitude(-12, 12)))]
+        coeffs += [draw(st.one_of(st.just(0.0), _signed(_magnitude(-12, 12)))) for _ in range(3)]
+        return coeffs
+    if kind == "triple":
+        # exact in binary, so p == q == 0 is reachable
+        r = draw(st.integers(-4096, 4096)) / 64.0
+        return [1.0, -3.0 * r, 3.0 * r * r, -r * r * r]
+    a, b = draw(_ROOT), draw(_ROOT)
+    if kind == "real":
+        roots = [a, b, draw(_ROOT)]
+    elif kind == "pair":
+        roots = [complex(a, b), complex(a, -b), draw(_ROOT)]
+    elif kind == "near-real":
+        roots = [a, a * (1.0 + draw(_SPLIT)), b]
+    else:
+        im = abs(a) * draw(_SPLIT)
+        roots = [complex(a, im), complex(a, -im), b]
+    scale = draw(_signed(_magnitude(-12, 12)))
+    return [float(x) for x in np.real(np.poly(roots)) * scale]
+
+
+def _outcome(solve, coeffs):
+    try:
+        return tuple(solve(*coeffs))
+    except (DegenerateLeadingCoefficient, FrozenDegenerate):
+        return "degenerate"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_window_cubics())
+@example([1.0, 6.0, 11.0, 6.0])  # three real roots: trigonometric branch
+@example([1.0, 10.0, 29.0, 100.0])  # a conjugate pair: Cardano branch
+@example([1.0, -3.0, 3.0, -1.0])  # exact triple root
+@example(list(np.real(np.poly([-68.01146110603337, -68.01146720847196, -576.7387269287435]))))
+@example([1e-16, 1.0, 2.0, 3.0])  # negligible leading coefficient
+@example([1.0, 3.0, 3.0, 1e-200])  # roots of very different size: the largest
+@example([1.0, 1.0, 1.0, 1e-300])  # root sets the scale, so these stay unscaled
+def test_cubic_inside_the_window_is_bit_identical_to_the_frozen_solver(coeffs):
+    assert numerics._rescale_exponent(*coeffs) == 0
+    new = _outcome(lambda *c: solve_cubic(Cubic(*c)).roots, coeffs)
+    assert new == _outcome(frozen_solve_cubic, coeffs)
+
+
+_HOSTILE = _signed(_magnitude(-150, 150))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.tuples(_HOSTILE, *[st.one_of(_HOSTILE, _HOSTILE, st.just(0.0))] * 3).map(list)
+)
+@example([1.0, 1.2, 10.0, 5.29e231])  # the closed loop of a large-gain M-curve point
+@example([1.0, 9e-110, 1.225e-219, 0.0])  # roots near 1e-110 and one at 0
+@example([1e-150, 1e150, 1e-150, 1e150])
+def test_cubic_hostile_scales_match_the_companion_oracle(coeffs):
+    # normwise: every root within 1e-6 of the largest root's magnitude
+    try:
+        got = solve_cubic(Cubic(*coeffs)).roots
+    except DegenerateLeadingCoefficient:
+        # only where the frozen solver gave up too
+        with pytest.raises(FrozenDegenerate):
+            frozen_solve_cubic(*coeffs)
+        return
+    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in got)
+    want = np.roots(coeffs)
+    tol = 1e-6 * max(abs(want))
+    for g in got:
+        assert min(abs(g - want)) <= tol, (coeffs, got, want)
+    for w in want:
+        assert min(abs(g - w) for g in got) <= tol, (coeffs, got, want)
+
+
+# unit-scale cubics whose largest-root exponent is exactly 0: three real
+# roots, a conjugate pair and an exact triple root
+@pytest.mark.parametrize(
+    "coeffs", [(1.0, 1.75, 0.875, 0.125), (1.0, 1.5, 1.0, 0.5), (1.0, 1.5, 0.75, 0.125)]
+)
+@pytest.mark.parametrize("k", [2.0**300, 2.0**-300])
+def test_cubic_far_outside_the_window_solves_as_at_unit_scale(coeffs, k):
+    # s -> s / k moves the roots to ~k; the rescaled cubic is the unit-scale
+    # one times a power of two, so the roots carry over exactly
+    a3, a2, a1, a0 = coeffs
+    moved = Cubic(a3, a2 * k, a1 * k * k, a0 * k * k * k)
+    assert solve_cubic(moved).roots == tuple(z * k for z in solve_cubic(Cubic(*coeffs)).roots)
+
+
+def test_cubic_outside_the_window_is_degenerate_only_past_the_float_range():
+    # a leading coefficient 1e-20 of the others is kept once the roots are
+    # rescaled; the frozen solver gave up on it
+    roots = solve_cubic(Cubic(1.0, 1e20, 1.0, 1.0)).roots
+    assert roots[2] == pytest.approx(-1e20, rel=1e-15)
+    with pytest.raises(FrozenDegenerate):
+        frozen_solve_cubic(1.0, 1e20, 1.0, 1.0)
+    # a root near -1e600 cannot be returned
+    with pytest.raises(DegenerateLeadingCoefficient, match="beyond the float range"):
+        solve_cubic(Cubic(1e-300, 1e300, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from fracpid import (
 )
 
 from cases import OSCILLATORY, gains_tuple, max_rel_err
+from frozen_solver import frozen_dominant_reading, frozen_solve_cubic
 
 
 # published gain triples for the four worked designs (kp, ki, kd)
@@ -102,6 +103,52 @@ def test_closed_loop_poles_rejects_nan_root(monkeypatch):
     monkeypatch.setattr(pole_placement, "solve_cubic", lambda c: nan_root)
     with pytest.raises(UnstableClosedLoop):
         closed_loop_poles(Plant(9, 0.2, 3), PidGains(65.6944, 285.8333, 6.8667))
+
+
+# sorted root triples with the patterns the dominant-pole reading tells apart
+EDGE_TRIPLES = {
+    "pair slower than the real pole": ((-2 - 3j), (-2 + 3j), (-9 + 0j)),
+    "pair faster than the real pole": ((-1 + 0j), (-4 - 1j), (-4 + 1j)),
+    "pair tying the real pole's |Re|": ((-1 - 1j), (-1 + 0j), (-1 + 1j)),
+    "all real": ((-1 + 0j), (-2 + 0j), (-3 + 0j)),
+    "repeated real": ((-1 + 0j), (-1 + 0j), (-3 + 0j)),
+    "repeated real, faster": ((-1 + 0j), (-3 + 0j), (-3 + 0j)),
+    "triple": ((-2 + 0j), (-2 + 0j), (-2 + 0j)),
+    "collapsed pair with signed zeros": (complex(-1, -0.0), complex(-1, 0.0), (-5 + 0j)),
+}
+
+
+def _report(plant, gains):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DominanceWarning)
+        r = closed_loop_poles(plant, gains)
+    return r.dominant_zeta, r.dominant_omega_n, r.real_pole, r.dominance_ratio
+
+
+@pytest.mark.parametrize("name", EDGE_TRIPLES)
+def test_dominant_reading_matches_the_conjugate_pair_reading(name, monkeypatch):
+    roots = EDGE_TRIPLES[name]
+    monkeypatch.setattr(pole_placement, "solve_cubic", lambda c: RootTriple(roots))
+    got = _report(Plant(9, 0.2, 3), PidGains(65.6944, 285.8333, 6.8667))
+    assert got == frozen_dominant_reading(roots)
+
+
+# plant 1/(s^2 + s + 1): kd = a2 - 1, kp = a1 - 1, ki = a0 for a monic
+# closed loop s^3 + a2 s^2 + a1 s + a0
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.0, 6.0, 11.0, 6.0),  # (s+1)(s+2)(s+3)
+        (1.0, 5.0, 7.0, 3.0),  # (s+1)^2 (s+3)
+        (1.0, 6.0, 12.0, 8.0),  # (s+2)^3
+        (1.0, 3.0, 4.0, 2.0),  # (s+1)(s^2+2s+2): pair and real pole share |Re|
+        (1.0, 10.0, 29.0, 100.0),
+    ],
+)
+def test_closed_loop_poles_of_edge_cubics_match_the_frozen_pipeline(coeffs):
+    _, a2, a1, a0 = coeffs
+    got = _report(Plant(1.0, 0.5, 1.0), PidGains(a1 - 1.0, a0, a2 - 1.0))
+    assert got == frozen_dominant_reading(frozen_solve_cubic(*coeffs))
 
 
 def test_roundtrip_property_random_designs():

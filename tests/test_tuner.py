@@ -1,15 +1,18 @@
 """Fractional-order sweep and the two-stage tuning procedure."""
 
+import hashlib
 import math
 import random
 import tracemalloc
 import warnings
+from collections import Counter
 
 import pytest
 from numpy.testing import assert_allclose
 
 from fracpid import (
     ClosedLoopTarget,
+    Cubic,
     DominanceWarning,
     IndefiniteWeights,
     Plant,
@@ -24,6 +27,7 @@ from fracpid import (
     two_stage_tune,
     w_zeros,
 )
+from fracpid import fractional_map, pole_placement, tuner
 from fracpid.tuner import MAX_Q_POINTS, ZETA_SLACK, q_grid
 
 from cases import BENCHMARKS, gains_tuple, max_rel_err
@@ -331,3 +335,95 @@ def test_walks_silence_dominance_warning_only_inside():
         ratios = [closed_loop_poles(P1.plant, p.equivalent_gains).dominance_ratio for p in weak]
     assert ratios[0] > 3.0 > ratios[-1]
     assert len(caught) == sum(r < 3.0 for r in ratios) > 0
+
+
+# ---------------------------------------------------------------------------
+# frozen digests of the probe path's outcomes
+# ---------------------------------------------------------------------------
+
+def _digest(records):
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+def _exact(*values):
+    # exact text of every float (or complex part); None for a missing cell
+    out = []
+    for v in values:
+        if v is None:
+            out.append(None)
+        elif isinstance(v, complex):
+            out += [v.real.hex(), v.imag.hex()]
+        else:
+            out.append(float(v).hex())
+    return tuple(out)
+
+
+# SHA-256 over the 1000 designs of ``_bench_designs(seed=2)``, recorded before
+# the probe path was rewritten for speed; any drift in a root, gain or zeta
+# of a stage-2 probe or M-curve point changes them
+STAGE2_OUTCOMES_SHA = "191a8816c37da20bdb5fe01686d34191ddffee91ad7262751404c83cf2612974"
+MCURVE_POINTS_SHA = "8c35f1aa8b950eececfdb7db294cb1420585bddea6480090e850aede5609471d"
+
+
+def test_stage2_outcomes_match_frozen_digest():
+    records = []
+    for plant, target, desired, q_step, refine in _bench_designs(seed=2, count=1000):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IndefiniteWeights)
+                report = two_stage_tune(plant, target, desired, q_step=q_step, refine=refine)
+        except TargetUnreachable:
+            records.append("TargetUnreachable")
+            continue
+        records.append(_exact(
+            report.chosen_q, *gains_tuple(report.suboptimal_gains),
+            report.achieved_zeta, report.achieved_omega_n,
+        ))
+    assert _digest(records) == STAGE2_OUTCOMES_SHA
+
+
+def test_mcurve_points_match_frozen_digest():
+    # the design-sweep benchmark's 61-point sweep over each design's stage-1 gains
+    records = []
+    for plant, target, _, _, _ in _bench_designs(seed=2, count=1000):
+        for pt in mcurve(plant, place_gains(plant, target), 1.3, 0.7, 0.01):
+            gains = None if pt.equivalent_gains is None else gains_tuple(pt.equivalent_gains)
+            records.append((
+                _exact(pt.q, *(gains or (None,) * 3), pt.s_zero,
+                       pt.dominant_zeta, pt.dominant_omega_n),
+                pt.wedge.value, pt.stable,
+            ))
+    assert len(records) == 61_000
+    assert _digest(records) == MCURVE_POINTS_SHA
+
+
+# ---------------------------------------------------------------------------
+# the cost of a probe, by call counts
+# ---------------------------------------------------------------------------
+
+def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatch):
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    w_zeros_counted = counted(fractional_map, "w_zeros")
+    for module in (fractional_map, tuner):
+        monkeypatch.setattr(module, "w_zeros", w_zeros_counted)
+    monkeypatch.setattr(pole_placement, "solve_cubic", counted(pole_placement, "solve_cubic"))
+    for name in ("__call__", "derivative"):
+        monkeypatch.setattr(Cubic, name, counted(Cubic, name))
+
+    two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
+    assert calls["w_zeros"] == 1
+    assert calls["solve_cubic"] > 400  # one per probe of the walk
+    points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
+    assert calls["w_zeros"] == 2
+    assert sum(p.equivalent_gains is not None for p in points) > 20
+    assert calls["__call__"] == calls["derivative"] == 0
