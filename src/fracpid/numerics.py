@@ -26,10 +26,10 @@ _TWO_PI = 2.0 * math.pi
 _THIRD = 1.0 / 3.0
 
 # solve_cubic rescales s unless the largest root's magnitude lies in about
-# 2**±64; every |ak| below 2**63 |a3| and |a2| at least 2**-63 |a3| imply
-# that without reading the exponents
+# 2**±64 (see _rescale_exponent)
 _SCALE_WINDOW = 64
 _RATIO_LO, _RATIO_HI = 2.0**-63, 2.0**63
+_NORMAL_MIN = 2.0**-1022  # below it a float carries fewer than 53 bits
 
 
 class DegenerateLeadingCoefficient(ValueError):
@@ -157,19 +157,35 @@ def _polish_real(a3: float, a2: float, a1: float, a0: float, x: float) -> float:
     return x
 
 
-def _deflated_pair(a3: float, a2: float, a1: float, a0: float, anchor: float) -> list[complex]:
+def _deflated_pair(
+    a3: float, a2: float, a1: float, a0: float, anchor: float, from_constant: bool = False
+) -> list[complex]:
     """Remaining two roots after dividing out ``(s - anchor)``.
 
     Synthetic division followed by the cancellation-free quadratic formula;
     this keeps a nearly repeated pair accurate where the depressed-cubic
-    discriminant has already lost its digits. A complex pair comes lower
-    root first, after one guarded Newton step on its upper root.
+    discriminant has already lost its digits. Division runs from the leading
+    end, or from the constant end when the anchor is the largest root and
+    the other two would drown in its rounding; those two are then solved at
+    their own power-of-two scale, so their squares cannot underflow. A
+    complex pair comes lower root first, after one guarded Newton step on
+    its upper root.
     """
-    b1 = a2 + anchor * a3
-    b0 = a1 + anchor * b1
+    k = 0
+    if from_constant:
+        b0 = -a0 / anchor
+        b1 = (b0 - a1) / anchor
+        # the pair's roots are those of the cubic a3 u**3 + b1 u**2 + b0 u besides 0
+        k = _rescale_exponent(a3, b1, b0, 0.0, max(abs(a3), abs(b1), abs(b0)))
+        b1, b0 = math.ldexp(b1, -k), math.ldexp(b0, -2 * k)
+    else:
+        b1 = a2 + anchor * a3
+        b0 = a1 + anchor * b1
     disc = b1 * b1 - 4.0 * a3 * b0
     if disc < 0.0:
         z = complex(-b1 / (2.0 * a3), math.sqrt(-disc) / (2.0 * abs(a3)))
+        if k:
+            z = complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
         d = (3.0 * a3 * z + 2.0 * a2) * z + a1
         if d != 0.0:
             f = ((a3 * z + a2) * z + a1) * z + a0
@@ -183,13 +199,19 @@ def _deflated_pair(a3: float, a2: float, a1: float, a0: float, anchor: float) ->
         return [complex(z.real, -abs(z.imag)), complex(z.real, abs(z.imag))]
     big = -0.5 * (b1 + math.copysign(math.sqrt(disc), b1))
     pair = (big / a3, b0 / big) if big != 0.0 else (0.0, 0.0)  # else b1 == disc == 0
+    if k:
+        pair = (math.ldexp(pair[0], k), math.ldexp(pair[1], k))
     return [complex(_polish_real(a3, a2, a1, a0, r), 0.0) for r in pair]
 
 
-def _rescale_exponent(a3: float, a2: float, a1: float, a0: float) -> int:
+def _rescale_exponent(a3: float, a2: float, a1: float, a0: float, scale: float) -> int:
     # e with 2**e about the largest root's magnitude: the Fujiwara bound
     # max |ak/a3|**(1/k) read off binary exponents, rounded up so every
-    # |ak/a3| / 2**(k*e) < 2; 0 inside the window
+    # |ak/a3| / 2**(k*e) < 2; 0 inside the window. Every |ak| below
+    # 2**63 |a3| and |a2| at least 2**-63 |a3| bound |e| by 63, so the
+    # common case skips the exponent reads.
+    if a3 == 0.0 or (scale < _RATIO_HI * abs(a3) and abs(a2) >= _RATIO_LO * abs(a3)):
+        return 0
     e3 = math.frexp(a3)[1]
     terms = ((1, a2), (2, a1), (3, a0))
     e = max((-((e3 - math.frexp(a)[1]) // k) for k, a in terms if a != 0.0), default=0)
@@ -208,23 +230,32 @@ def solve_cubic(c: Cubic) -> RootTriple:
 
     When the largest root's magnitude lies outside about 2**±64, s is first
     rescaled by a power of two (exact in binary) so the cubic is solved with
-    its largest root near 1; cubics inside that window are solved as given.
-    Raises DegenerateLeadingCoefficient when the leading coefficient of the
-    cubic so solved is zero or negligible against the largest one, or when
-    a root lies beyond the float range.
+    its largest root near 1. The smaller roots are then taken again from the
+    largest, so each keeps digits relative to its own magnitude: a largest
+    real root is divided out from the constant end, and under a largest
+    pair the real root is the product of the roots over the pair's. Cubics
+    inside that window are solved as given.
+
+    Raises DegenerateLeadingCoefficient when the leading coefficient is
+    zero, when inside the window it is negligible against the largest one,
+    or when outside it the roots span more than the float range: a root lies
+    beyond it, or rescaling pushes a nonzero a1 or a0 below the normal floats.
     """
     a3, a2, a1, a0 = c.a3, c.a2, c.a1, c.a0
     scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
-    e = 0
-    if a3 != 0.0 and not (scale < _RATIO_HI * abs(a3) and abs(a2) >= _RATIO_LO * abs(a3)):
-        e = _rescale_exponent(a3, a2, a1, a0)
-    if e:
+    e = _rescale_exponent(a3, a2, a1, a0, scale)
+    if not e:
+        if a3 == 0.0 or abs(a3) <= 1e-14 * scale:
+            raise DegenerateLeadingCoefficient(f"leading coefficient {c.a3!r} is negligible against {scale!r}")
+    else:
         # solve for t = s / 2**e, with the leading coefficient in [0.5, 1)
         lead = -math.frexp(a3)[1]
         a3, a2, a1, a0 = (math.ldexp(a, lead - k * e) for k, a in enumerate((a3, a2, a1, a0)))
-        scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
-    if a3 == 0.0 or abs(a3) <= 1e-14 * scale:
-        raise DegenerateLeadingCoefficient(f"leading coefficient {c.a3!r} is negligible against {scale!r}")
+        # the smaller roots are taken from a1 and a0
+        if (c.a1 and abs(a1) < _NORMAL_MIN) or (c.a0 and abs(a0) < _NORMAL_MIN):
+            raise DegenerateLeadingCoefficient(
+                f"leading coefficient {c.a3!r} is negligible: the roots span more than the float range"
+            )
 
     b = a2 / a3
     c1 = a1 / a3
@@ -254,6 +285,16 @@ def solve_cubic(c: Cubic) -> RootTriple:
                 anchor = t2
         anchor = _polish_real(a3, a2, a1, a0, anchor)
         lo, hi = _deflated_pair(a3, a2, a1, a0, anchor)
+        if e:
+            # rounding so far scales with the largest root: take the smaller
+            # ones again from it
+            if lo.imag == 0.0:
+                anchor = max(anchor, lo.real, hi.real, key=abs)
+                lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
+            elif abs(anchor) < abs(hi):
+                anchor = -a0 / (a3 * (hi.real * hi.real + hi.imag * hi.imag))
+            else:
+                lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
         real = complex(anchor, 0.0)
         if lo.imag == 0.0:
             roots = sorted((real, lo, hi), key=lambda z: (abs(z.real), z.imag))

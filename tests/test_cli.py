@@ -231,6 +231,18 @@ def test_mcurve_point_with_a_huge_closed_loop_root_is_printed(capsys):
     assert all(math.isfinite(float(v)) for v in cells[1:6])  # gains and zero; no pole cells
 
 
+def test_mcurve_point_with_a_huge_derivative_gain_is_stable(capsys):
+    # at q = 1 the loop is s^3 + 9e20 s^2 + 18 s + 9: a real pole near -9e20
+    # and a stable pair with zeta and omega_n near 1e-10
+    argv = ["mcurve", "--preset", "p1", "--gains=1,1,1e20", "--q-from", "1", "--q-to", "1"]
+    code, text = run_cli(argv)
+    assert (code, capsys.readouterr().err) == (0, "")
+    cells = text.splitlines()[1].split(",")
+    assert cells[-2:] == ["under-damped", "true"]
+    zeta, omega = float(cells[6]), float(cells[7])
+    assert zeta == pytest.approx(1e-10, rel=1e-5) and omega == pytest.approx(1e-10, rel=1e-5)
+
+
 @pytest.mark.parametrize("omega,printed", [("1e-100", "1e-100"), ("1e100", "1e+100")])
 def test_place_at_extreme_frequency_scales(tmp_path, omega, printed):
     config = tmp_path / "scale.ini"
@@ -254,7 +266,9 @@ def test_place_with_an_underflowing_integral_gain_exits_3(tmp_path, capsys):
     )
     assert run_cli(["place", "--config", str(config)]) == (3, "")
     err = capsys.readouterr().err
-    assert err.startswith("error: closed-loop poles (0j, ") and "left half plane" in err
+    prefix = "error: closed-loop poles ("
+    assert err.startswith(prefix) and "left half plane" in err
+    assert complex(err[len(prefix):].split(", ")[0].strip("()")) == 0.0  # of either sign
 
 
 def test_mcurve_bad_grid_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Cubic solver, symmetric eigenvalues, and exact fixed-step sampler."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,11 +185,12 @@ _SPLIT = _magnitude(-12, -3)  # relative gap of a nearly repeated root
 def _window_cubics(draw):
     """Coefficients of cubics whose largest root lies well inside the
     unscaled window: both branches, near-repeated roots and exact triple
-    roots, scaled by 1e+-12."""
+    roots, scaled by 1e+-12, and raw coefficients within 1e+-9 (ratios below
+    2**63, so their largest root lies inside too)."""
     kind = draw(st.sampled_from(("real", "pair", "near-real", "near-pair", "triple", "raw")))
     if kind == "raw":
-        coeffs = [draw(_signed(_magnitude(-12, 12)))]
-        coeffs += [draw(st.one_of(st.just(0.0), _signed(_magnitude(-12, 12)))) for _ in range(3)]
+        coeffs = [draw(_signed(_magnitude(-9, 9)))]
+        coeffs += [draw(st.one_of(st.just(0.0), _signed(_magnitude(-9, 9)))) for _ in range(3)]
         return coeffs
     if kind == "triple":
         # exact in binary, so p == q == 0 is reachable
@@ -225,12 +227,28 @@ def _outcome(solve, coeffs):
 @example([1.0, 3.0, 3.0, 1e-200])  # roots of very different size: the largest
 @example([1.0, 1.0, 1.0, 1e-300])  # root sets the scale, so these stay unscaled
 def test_cubic_inside_the_window_is_bit_identical_to_the_frozen_solver(coeffs):
-    assert numerics._rescale_exponent(*coeffs) == 0
+    assert numerics._rescale_exponent(*coeffs, max(map(abs, coeffs))) == 0
     new = _outcome(lambda *c: solve_cubic(Cubic(*c)).roots, coeffs)
     assert new == _outcome(frozen_solve_cubic, coeffs)
 
 
 _HOSTILE = _signed(_magnitude(-150, 150))
+
+
+def _near_a_root(coeffs, z, rel, floor):
+    """Whether a root of the cubic lies within ``rel*|z| + floor`` of z.
+
+    Exact rational arithmetic: since f'/f = sum 1/(z - r) over the roots r,
+    the nearest root is at most 3 |f(z) / f'(z)| away from z.
+    """
+    x, y = Fraction(z.real), Fraction(z.imag)
+    fr = fi = dr = di = Fraction(0)
+    for a in coeffs:  # Horner for f and f' together
+        dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+        fr, fi = fr * x - fi * y + Fraction(a), fr * y + fi * x
+    # 9 |f|^2 <= (rel^2 |z|^2 + floor^2) |f'|^2 gives 3 |f/f'| <= rel |z| + floor
+    bound = rel * rel * (x * x + y * y) + floor * floor
+    return 9 * (fr * fr + fi * fi) <= bound * (dr * dr + di * di)
 
 
 @settings(max_examples=400, deadline=None)
@@ -240,8 +258,13 @@ _HOSTILE = _signed(_magnitude(-150, 150))
 @example([1.0, 1.2, 10.0, 5.29e231])  # the closed loop of a large-gain M-curve point
 @example([1.0, 9e-110, 1.225e-219, 0.0])  # roots near 1e-110 and one at 0
 @example([1e-150, 1e150, 1e-150, 1e150])
-def test_cubic_hostile_scales_match_the_companion_oracle(coeffs):
-    # normwise: every root within 1e-6 of the largest root's magnitude
+@example([1.0, 1e20, 1.0, 1.0])  # the real root is the largest: a pair near 1e-10
+@example([1.0, 0.0, 1e200, 1.0])  # the pair is the largest: a real root near -1e-200
+@example([1.8667405948247853e-90, -5.568131396154788e-78, -0.08716197748379814,
+          1.255361100244539e-30])  # real roots near +-2e44 and 1.4e-29
+@example([-4.919130147881512e56, 9.323575550221703e132, 1.2006785644995907e-95,
+          0.0])  # roots near 1.9e76, -1.3e-228 and 0
+def test_cubic_hostile_scales_keep_every_root_to_its_own_digits(coeffs):
     try:
         got = solve_cubic(Cubic(*coeffs)).roots
     except DegenerateLeadingCoefficient:
@@ -250,12 +273,26 @@ def test_cubic_hostile_scales_match_the_companion_oracle(coeffs):
             frozen_solve_cubic(*coeffs)
         return
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in got)
+    # normwise, against the companion matrix
     want = np.roots(coeffs)
     tol = 1e-6 * max(abs(want))
     for g in got:
         assert min(abs(g - want)) <= tol, (coeffs, got, want)
     for w in want:
         assert min(abs(g - w) for g in got) <= tol, (coeffs, got, want)
+    if numerics._rescale_exponent(*coeffs, max(map(abs, coeffs))) == 0:
+        return  # solved as given: the frozen solver's bits
+    # rescaled: each root within 1e-6 of its own magnitude, down to the
+    # normal floats, and together they are the cubic's three roots
+    for g in got:
+        assert _near_a_root(coeffs, g, Fraction(1, 10**6), Fraction(2) ** -1022), (coeffs, got)
+    a3, a0 = Fraction(coeffs[0]), Fraction(coeffs[3])
+    if a0 and all(abs(g) >= 2.0**-1022 for g in got):
+        pr, pi = Fraction(1), Fraction(0)
+        for g in got:
+            x, y = Fraction(g.real), Fraction(g.imag)
+            pr, pi = pr * x - pi * y, pr * y + pi * x
+        assert (a3 * pr + a0) ** 2 + (a3 * pi) ** 2 <= Fraction(1, 10**8) * a0 * a0, (coeffs, got)
 
 
 # unit-scale cubics whose largest-root exponent is exactly 0: three real
@@ -272,13 +309,22 @@ def test_cubic_far_outside_the_window_solves_as_at_unit_scale(coeffs, k):
     assert solve_cubic(moved).roots == tuple(z * k for z in solve_cubic(Cubic(*coeffs)).roots)
 
 
-def test_cubic_outside_the_window_is_degenerate_only_past_the_float_range():
-    # a leading coefficient 1e-20 of the others is kept once the roots are
-    # rescaled; the frozen solver gave up on it
-    roots = solve_cubic(Cubic(1.0, 1e20, 1.0, 1.0)).roots
-    assert roots[2] == pytest.approx(-1e20, rel=1e-15)
+def test_cubic_outside_the_window_keeps_its_small_roots():
+    # s^3 + 1e20 s^2 + s + 1 has a root near -1e20 and a pair near
+    # -5e-21 +- 1e-10j; the frozen solver gave up on it
+    lo, hi, big = solve_cubic(Cubic(1.0, 1e20, 1.0, 1.0)).roots
+    assert big == pytest.approx(-1e20, rel=1e-15)
+    assert lo.real == pytest.approx(-5e-21, rel=1e-9) and lo.imag == pytest.approx(-1e-10, rel=1e-12)
+    assert hi == lo.conjugate()
     with pytest.raises(FrozenDegenerate):
         frozen_solve_cubic(1.0, 1e20, 1.0, 1.0)
+    # inside the window the old guard still decides
+    with pytest.raises(DegenerateLeadingCoefficient, match="negligible against"):
+        solve_cubic(Cubic(1.0, 1e15, 1.0, 1.0))
+    # a pair near -0.5 +- 0.87j beside a root near -1e300: rescaled by 2**997,
+    # a0 falls below the floats
+    with pytest.raises(DegenerateLeadingCoefficient, match="span more than the float range"):
+        solve_cubic(Cubic(1.0, 1e300, 1e300, 1e300))
     # a root near -1e600 cannot be returned
     with pytest.raises(DegenerateLeadingCoefficient, match="beyond the float range"):
         solve_cubic(Cubic(1e-300, 1e300, 0.0, 0.0))

@@ -151,6 +151,21 @@ def test_closed_loop_poles_of_edge_cubics_match_the_frozen_pipeline(coeffs):
     assert got == frozen_dominant_reading(frozen_solve_cubic(*coeffs))
 
 
+def test_closed_loop_poles_under_a_huge_derivative_gain():
+    # kd = 1e20 puts the real pole near -9e20 and the dominant pair near
+    # 1e-10: the cubic is solved rescaled, and the pair keeps its own digits.
+    # Dividing (s + R) out of s^3 + a2 s^2 + a1 s + a0 leaves
+    # s^2 + b s + g with g = a0 / R and b = (a1 - g) / R.
+    a2, a1, a0 = 0.4 * 3.0 + 9.0 * 1e20, 9.0 + 9.0 * 1.0, 9.0 * 1.0
+    rep = closed_loop_poles(Plant(9.0, 0.2, 3.0), PidGains(1.0, 1.0, 1e20))
+    real = a2  # R = a2 - b, and b ~ 2e-20
+    g = a0 / real
+    b = (a1 - g) / real
+    assert rep.real_pole == pytest.approx(-real, rel=1e-12)
+    assert rep.dominant_omega_n == pytest.approx(math.sqrt(g), rel=1e-12)
+    assert rep.dominant_zeta == pytest.approx(b / (2.0 * math.sqrt(g)), rel=1e-9)
+
+
 def test_roundtrip_property_random_designs():
     rng = np.random.default_rng(42)
     for _ in range(200):
