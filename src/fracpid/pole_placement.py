@@ -146,13 +146,22 @@ def place_gains(plant: Plant, target: ClosedLoopTarget) -> PidGains:
 
 
 def desired_characteristic(target: ClosedLoopTarget) -> Cubic:
-    """Monic target polynomial ``(s + m*z*w) * (s^2 + 2*z*w*s + w^2)``."""
+    """Monic target polynomial ``(s + m*z*w) * (s^2 + 2*z*w*s + w^2)``.
+
+    Raises ValueError when the cube of the target frequency overflows.
+    """
     zc, wc, m = target.zeta_cl, target.omega_n_cl, target.m
+    try:
+        wc3 = wc**3
+    except OverflowError:
+        raise ValueError(
+            f"target frequency omega_n_cl={wc:g} is too large: its cube overflows"
+        ) from None
     return Cubic(
         1.0,
         (2.0 + m) * zc * wc,
         wc * wc * (1.0 + 2.0 * m * zc * zc),
-        m * zc * wc**3,
+        m * zc * wc3,
     )
 
 

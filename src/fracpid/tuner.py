@@ -154,21 +154,31 @@ def two_stage_tune(
 ) -> TuningReport:
     """Run the two-stage procedure and the single-stage comparison.
 
-    Steps: place gains at the low-damping stage-1 target; walk q down from 1
-    in steps of ``q_step`` until the dominant damping reaches
-    ``desired_zeta``; place single-stage gains at the achieved (zeta,
-    omega_n) with the stage-1 dominance; build both inverse Riccati
+    Steps: place gains at the low-damping stage-1 target; search q down
+    from 1 in steps of ``q_step`` for the first order whose dominant damping
+    reaches ``desired_zeta``; place single-stage gains at the achieved
+    (zeta, omega_n) with the stage-1 dominance; build both inverse Riccati
     packages; compare costs via the difference eigenvalues and initial
     efforts via the proportional gains (unit-step basis). With ``refine``
     the step is halved twice after the first hit to edge the chosen order
     closer to the damping boundary.
 
+    The search strides S = max(1, floor(0.005/q_step)) grid steps, one
+    default step in q. From a clear index i (stable, damping below the
+    target) it probes i+1, j = i+S and j+1, and skips i+2..j-1 only when all
+    three are clear and the damping rises at both ends of the stride;
+    otherwise it walks i+1..j in order. It returns what a walk over every
+    grid order would, unless the damping turns twice, or a stability pocket
+    opens (or a probe raises), strictly inside a stride whose ends are clear
+    and rising. At q_step >= 0.005 the stride is 1 and the search is the walk.
+
     The zeros stay under-damped only while q > phi/pi (phi the stage-1
-    w-plane zero angle), so the walk makes at most
-    floor((1 - phi/pi)/q_step) + 1 probes, and raises ValueError up front
-    when that exceeds MAX_Q_POINTS. Raises TargetUnreachable where the loop
-    is unstable or the zeros leave the wedge at a grid order, and when the
-    grid above phi/pi runs out, before the desired damping is met.
+    w-plane zero angle), so the search probes each of at most
+    floor((1 - phi/pi)/q_step) + 1 grid orders at most once, and raises
+    ValueError up front when that exceeds MAX_Q_POINTS. Raises
+    TargetUnreachable where the loop is unstable or the zeros leave the
+    wedge at the first grid order that is not clear, and when the grid above
+    phi/pi runs out, before the desired damping is met.
     """
     if not stage1_target.zeta_cl < desired_zeta < 1.0:
         raise ValueError(
@@ -179,17 +189,47 @@ def two_stage_tune(
     phi = w_zeros(stage1_gains).phi
 
     zeta_floor = desired_zeta - ZETA_SLACK
+    grid = q_grid(1.0, phi / math.pi, q_step)
+    stride = max(1, int(0.005 / q_step + 1e-9))
+    seen = {}
+
+    def look(k):
+        # probe grid index k once; what it raises waits until the walk reaches k
+        if k not in seen:
+            try:
+                seen[k] = _probe(plant, stage1_gains, phi, grid[k])
+            except Exception as exc:
+                seen[k] = exc
+        return seen[k]
+
+    def zeta(k):
+        # damping at index k while k is clear (stable, below the floor), else
+        # NaN, so that every rise test on k fails
+        point = look(k)
+        clear = isinstance(point, MCurvePoint) and point.stable and point.dominant_zeta < zeta_floor
+        return point.dominant_zeta if clear else math.nan
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DominanceWarning)
-        for q in q_grid(1.0, phi / math.pi, q_step):
-            chosen = _probe(plant, stage1_gains, phi, q)
+        i = stop = 0  # the walk stands at i; at stop it tries the next stride
+        while i < len(grid):
+            chosen = look(i)
+            if isinstance(chosen, Exception):
+                raise chosen
             if not chosen.stable:
                 raise TargetUnreachable(
                     f"loop unstable or zeros outside the under-damped wedge "
-                    f"at q={q:g} before damping {desired_zeta:g} was reached"
+                    f"at q={grid[i]:g} before damping {desired_zeta:g} was reached"
                 )
             if chosen.dominant_zeta >= zeta_floor:
                 break
+            if i == stop:
+                j = stop = i + stride
+                if (stride > 1 and j + 1 < len(grid) and chosen.dominant_zeta < zeta(i + 1)
+                        and zeta(j) < zeta(j + 1)):
+                    i = j
+                    continue
+            i += 1
         else:
             raise TargetUnreachable(
                 f"no order on the {q_step:g} grid above phi/pi="

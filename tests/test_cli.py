@@ -271,6 +271,21 @@ def test_place_with_an_underflowing_integral_gain_exits_3(tmp_path, capsys):
     assert complex(err[len(prefix):].split(", ")[0].strip("()")) == 0.0  # of either sign
 
 
+@pytest.mark.parametrize("command", [["place"], ["tune", "--desired-zeta", "0.9"]])
+def test_huge_target_frequency_exits_2(tmp_path, capsys, command):
+    # the cube of omega_n_cl = 1e150 overflows while the target polynomial
+    # is formed: a typed config error, not a traceback
+    config = tmp_path / "huge.ini"
+    config.write_text(
+        "[plant]\nk = 9\nzeta_ol = 0.2\nomega_n_ol = 3\n"
+        "[target]\nzeta_cl = 0.75\nomega_n_cl = 1e150\nm = 10\n"
+    )
+    assert run_cli([*command, "--config", str(config)]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: target frequency omega_n_cl=1e+150 is too large: its cube overflows\n"
+    )
+
+
 def test_mcurve_bad_grid_exits_2(capsys):
     code, _ = run_cli(["mcurve", "--preset", "p1", "--q-step", "-0.1"])
     assert code == 2

@@ -75,6 +75,23 @@ GOLDEN = {
     "simulate --compare p3": (0, "6f40889709908b54a01392d4b135949977e8ca5e8901369383ca6bf0f2ca159b", EMPTY),
 }
 
+# tune at finer steps than the default 0.005, where the stage-2 search
+# strides; recorded from the plain walk over every grid order
+FINE_STEP_COMMANDS = {
+    **{f"tune --q-step 0.0002 {p}": ["tune", "--preset", p, "--q-step", "0.0002"] for p in TUNED},
+    **{f"tune --q-step 0.001 --refine {p}": ["tune", "--preset", p, "--q-step", "0.001", "--refine"]
+       for p in TUNED},
+}
+
+FINE_STEP_GOLDEN = {
+    "tune --q-step 0.0002 p1": (0, "42587336587b8f4e77558a0fd0a505dc7f21b4a1c800cbb604265bb6b8285b8a", EMPTY),
+    "tune --q-step 0.0002 p2": (0, "9481fb30c72c1fd1bdae936c9313031f652a9149a7c3ef73a979e791d6e0dc96", EMPTY),
+    "tune --q-step 0.0002 p3": (0, "50dc3f6aaaf95f8806f69f50f35d316530f7d9d9a05a8f4c8242b920b02f96f0", EMPTY),
+    "tune --q-step 0.001 --refine p1": (0, "b5f56bf6d57864186b23322dc07bf1cf0bd0a83552294cfa86817a2ea201d13a", EMPTY),
+    "tune --q-step 0.001 --refine p2": (0, "a48c3c3861e2ac60913f6a660e2187c116a09aade4f36a571b2b6187ffd730e1", EMPTY),
+    "tune --q-step 0.001 --refine p3": (0, "2b37321c861b915de1ad935bf70a6ec87a25b02f804d0ec2148a0f31c3b7d4fe", EMPTY),
+}
+
 # SHA-256 of the file written by ``tune --preset p1 --out``
 TUNE_P1_CSV = "6ec68347036ed1dc4d54b00d9d507a1d21b8099e1cf55528ef6d7a1e9ab791b0"
 
@@ -97,7 +114,8 @@ def _run(argv, cwd):
 def outputs(tmp_path_factory):
     cwd = tmp_path_factory.mktemp("golden")
     csv = cwd / "tune-p1.csv"
-    jobs = {**COMMANDS, "tune --out p1": ["tune", "--preset", "p1", "--out", str(csv)]}
+    jobs = {**COMMANDS, **FINE_STEP_COMMANDS,
+            "tune --out p1": ["tune", "--preset", "p1", "--out", str(csv)]}
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = dict(zip(jobs, pool.map(lambda argv: _run(argv, cwd), jobs.values())))
     results["tune --out p1 (file)"] = _sha(csv.read_bytes())
@@ -112,6 +130,11 @@ def test_golden_covers_every_command():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_preset_command_output_is_pinned(outputs, name):
     assert outputs[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(FINE_STEP_COMMANDS))
+def test_fine_step_tune_output_is_pinned(outputs, name):
+    assert outputs[name] == FINE_STEP_GOLDEN[name]
 
 
 def test_tune_out_csv_is_pinned(outputs):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fracpid import (
@@ -206,6 +208,56 @@ def test_equivalent_pid_overflow_names_the_order(q):
     assert classify_wedge(w_zeros(gains).phi, q) is WedgeClass.UNDER_DAMPED
     with pytest.raises(ValueError, match=f"overflow at q={q:g}$"):
         equivalent_pid(gains, q)
+
+
+@st.composite
+def _gains_inside_the_wedge(draw):
+    """Positive gains with complex w-plane zeros, and an order q strictly
+    inside their under-damped wedge phi/pi < q < 2 phi/pi."""
+    ki, kd = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    # kp below 2 sqrt(ki kd) keeps the zeros complex; 1 % margins keep the
+    # mapped pair off the double root and the identity off a vanishing kp
+    kp = 2.0 * math.sqrt(ki * kd) * draw(st.floats(0.01, 0.99))
+    gains = PidGains(kp, ki, kd)
+    phi = w_zeros(gains).phi
+    return gains, (1.0 + draw(st.floats(0.01, 0.99))) * phi / math.pi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gains_inside_the_wedge())
+def test_equivalent_pid_zeros_are_the_mapped_zeros(case):
+    gains, q = case
+    ghat = equivalent_pid(gains, q)
+    assert ghat.kp > 0.0 and ghat.ki > 0.0 and ghat.kd > 0.0
+    mapped_upper, mapped_lower = s_zeros(gains, q)
+    root_upper, root_lower = quadratic_roots(ghat.kd, ghat.kp, ghat.ki)
+    assert abs(root_upper - mapped_upper) <= 1e-9 * abs(mapped_upper)
+    assert abs(root_lower - mapped_lower) <= 1e-9 * abs(mapped_lower)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gains_inside_the_wedge())
+def test_equivalent_pid_is_the_identity_at_unit_order_for_any_gains(case):
+    gains, _ = case
+    assert max_rel_err(gains_tuple(equivalent_pid(gains, 1.0)), gains_tuple(gains)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gains_inside_the_wedge())
+def test_equivalent_pid_rejects_both_wedge_boundaries(case):
+    gains, _ = case
+    phi = w_zeros(gains).phi
+    lower, upper = phi / math.pi, 2.0 * phi / math.pi
+    # classify_wedge compares phi with the rounded pi*q, which for ~7 % of
+    # angles puts the float phi/pi (or 2 phi/pi) one ulp inside the wedge;
+    # one ulp further out is the boundary as the classifier reads it
+    if math.pi * lower > phi:
+        lower = math.nextafter(lower, 0.0)
+    if math.pi * upper / 2.0 < phi:
+        upper = math.nextafter(upper, 2.0)
+    for q in (lower, upper):
+        with pytest.raises(OutsideWedge):
+            equivalent_pid(gains, q)
 
 
 @pytest.mark.parametrize("bench", BENCHMARKS, ids=lambda b: b.name)

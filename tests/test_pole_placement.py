@@ -1,6 +1,7 @@
 """Pole-placement gain synthesis and the achieved pole pattern."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +58,21 @@ def test_desired_characteristic_expansion():
 def test_desired_characteristic_triple_pole():
     cubic = desired_characteristic(ClosedLoopTarget(1.0, 1.0, 1.0))
     assert_allclose(cubic.coefficients(), (1.0, 3.0, 3.0, 1.0), rtol=0.0)
+
+
+def test_desired_characteristic_of_a_huge_frequency_is_a_value_error():
+    # (1e150)**3 overflows the float range; wc**3 raises OverflowError itself
+    target = ClosedLoopTarget(0.75, 1e150, 10.0)
+    message = re.escape("target frequency omega_n_cl=1e+150 is too large: its cube overflows")
+    with pytest.raises(ValueError, match=message) as caught:
+        desired_characteristic(target)
+    assert not isinstance(caught.value, OverflowError)
+    with pytest.raises(ValueError, match=message):
+        place_gains(Plant(9, 0.2, 3), target)
+    # just inside the range every coefficient keeps the bits of wc**3
+    wc = 1e100
+    cubic = desired_characteristic(ClosedLoopTarget(0.75, wc, 10.0))
+    assert cubic.a0 == 10.0 * 0.75 * wc**3
 
 
 def test_desired_characteristic_roundtrip_through_solver():

@@ -225,7 +225,8 @@ def test_single_stage_gains_exceed_suboptimal_on_benchmarks():
 def _reference_search(plant, stage1_target, desired_zeta, q_step, refine):
     """Stage-2 search as an unbounded walk down from q = 1 that stops at the
     first hit and fails at the first order outside the wedge or unstable.
-    Returns (chosen q, gains, pole report), or None when unreachable."""
+    Returns (chosen q, gains, pole report), or the walk's TargetUnreachable
+    message when unreachable."""
     stage1_gains = place_gains(plant, stage1_target)
     phi = w_zeros(stage1_gains).phi
 
@@ -243,11 +244,13 @@ def _reference_search(plant, stage1_target, desired_zeta, q_step, refine):
     step_count = 0
     while True:
         q = 1.0 - step_count * q_step
-        if q <= 0.0:
-            return None
+        if q < phi / math.pi:
+            return (f"no order on the {q_step:g} grid above phi/pi={phi / math.pi:g} "
+                    f"reaches damping {desired_zeta:g}")
         result = probe(q)
         if result is None:
-            return None
+            return (f"loop unstable or zeros outside the under-damped wedge at q={q:g} "
+                    f"before damping {desired_zeta:g} was reached")
         if result[1].dominant_zeta >= desired_zeta - ZETA_SLACK:
             break
         step_count += 1
@@ -285,34 +288,139 @@ def _bench_designs(seed, count):
         yield plant, ClosedLoopTarget(zc, wc, m), desired, q_step, refine
 
 
+def _tune(plant, target, desired, q_step, refine=False):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IndefiniteWeights)
+        return two_stage_tune(plant, target, desired, q_step=q_step, refine=refine)
+
+
+def _assert_same_outcome(plant, target, desired, q_step, refine):
+    """two_stage_tune against _reference_search, bit for bit; returns whether
+    the target was reached."""
+    expected = _reference_search(plant, target, desired, q_step, refine)
+    case = (plant, target, desired, q_step, refine)
+    try:
+        report = _tune(plant, target, desired, q_step, refine)
+    except TargetUnreachable as exc:
+        assert str(exc) == expected, case
+        return False
+    assert not isinstance(expected, str), case
+    q, gains, poles = expected
+    assert report.chosen_q == q, case
+    assert report.suboptimal_gains == gains, case
+    assert (report.achieved_zeta, report.achieved_omega_n) == (
+        poles.dominant_zeta, poles.dominant_omega_n
+    ), case
+    return True
+
+
 def test_bounded_walk_matches_unbounded_reference_bit_for_bit():
-    outcomes = {"reached": 0, "unreachable": 0}
-    for plant, target, desired, q_step, refine in _bench_designs(seed=2, count=1000):
-        expected = _reference_search(plant, target, desired, q_step, refine)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IndefiniteWeights)
-                report = two_stage_tune(plant, target, desired, q_step=q_step, refine=refine)
-        except TargetUnreachable:
-            assert expected is None, (plant, target, desired, q_step, refine)
-            outcomes["unreachable"] += 1
-            continue
-        assert expected is not None, (plant, target, desired, q_step, refine)
-        q, gains, poles = expected
-        assert report.chosen_q == q
-        assert report.suboptimal_gains == gains
-        assert (report.achieved_zeta, report.achieved_omega_n) == (
-            poles.dominant_zeta, poles.dominant_omega_n
-        )
-        outcomes["reached"] += 1
-    assert outcomes["unreachable"] > 0 and outcomes["reached"] > 900
+    outcomes = Counter(
+        _assert_same_outcome(*design) for design in _bench_designs(seed=2, count=1000)
+    )
+    assert outcomes[False] > 0 and outcomes[True] > 900
 
 
 def test_walk_on_a_coarser_than_unit_step_probes_only_unit_order():
     # one grid point, q = 1, which leaves the stage-1 damping unchanged
     with pytest.raises(TargetUnreachable, match="grid above phi/pi"):
         two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=1.5)
-    assert _reference_search(P1.plant, P1.stage1, 0.93, 1.5, False) is None
+    assert _reference_search(P1.plant, P1.stage1, 0.93, 1.5, False).startswith("no order")
+
+
+# ---------------------------------------------------------------------------
+# the strided search at fine steps: hostile floors and probes that raise
+# ---------------------------------------------------------------------------
+
+def _first_damping_peak(plant, stage1_gains, q_step):
+    """Grid index and damping of the first strict local maximum of the
+    dominant damping along the walk from q = 1, or None when the walk
+    fails or the damping passes 0.999 first."""
+    phi = w_zeros(stage1_gains).phi
+    zetas = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DominanceWarning)
+        for k in range(int(1.0 / q_step)):
+            q = 1.0 - k * q_step
+            if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
+                return None
+            try:
+                zetas.append(closed_loop_poles(plant, equivalent_pid(stage1_gains, q)).dominant_zeta)
+            except UnstableClosedLoop:
+                return None
+            if k >= 2 and zetas[-3] < zetas[-2] > zetas[-1]:
+                return k - 1, zetas[-2]
+            if zetas[-1] >= 0.999:
+                return None
+    return None
+
+
+@pytest.mark.parametrize("q_step,count", [(0.001, 400), (0.0002, 200)])
+def test_floor_just_under_the_first_damping_peak_matches_the_walk(q_step, count):
+    # the target is met only at the peak itself, a one-point excursion of the
+    # damping, which a search that skips grid orders could step over
+    floors = 0
+    for plant, target, _, _, _ in _bench_designs(seed=3, count=count):
+        peak = _first_damping_peak(plant, place_gains(plant, target), q_step)
+        if peak is None or peak[1] <= target.zeta_cl:
+            continue
+        k, zeta = peak
+        desired = zeta + ZETA_SLACK
+        while desired - ZETA_SLACK > zeta:
+            desired = math.nextafter(desired, 0.0)
+        assert _assert_same_outcome(plant, target, desired, q_step, refine=False)
+        assert _tune(plant, target, desired, q_step).chosen_q == 1.0 - k * q_step
+        floors += 1
+    assert floors >= 10
+
+
+class _ProbeFault(Exception):
+    """Raised by a patched stage-2 probe, carrying the order it was asked for."""
+
+
+def _probe_raising(monkeypatch, raises_at):
+    """Patch tuner._probe to raise _ProbeFault(q) wherever raises_at(q) holds;
+    returns the list of orders it raised at."""
+    probe, raised = tuner._probe, []
+
+    def patched(plant, stage1_gains, phi, q):
+        if raises_at(q):
+            raised.append(q)
+            raise _ProbeFault(q)
+        return probe(plant, stage1_gains, phi, q)
+
+    monkeypatch.setattr(tuner, "_probe", patched)
+    return raised
+
+
+@pytest.mark.parametrize("q_step", [0.0002, 0.001])
+def test_a_probe_that_raises_below_the_answer_never_surfaces(monkeypatch, q_step):
+    clean = two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=q_step, refine=True)
+    raised = _probe_raising(monkeypatch, lambda q: q < clean.chosen_q - 0.5 * q_step)
+    report = two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=q_step, refine=True)
+    assert raised  # the search did look past its answer
+    assert (report.chosen_q, report.suboptimal_gains, report.achieved_zeta) == (
+        clean.chosen_q, clean.suboptimal_gains, clean.achieved_zeta
+    )
+
+
+@pytest.mark.parametrize("q_step", [0.0002, 0.001])
+@pytest.mark.parametrize("where", ["next", "stride end", "past stride end", "mid", "last"])
+def test_a_probe_that_raises_above_the_answer_raises_where_the_walk_would(
+    monkeypatch, q_step, where
+):
+    # every order from grid index k down to just above the answer raises; a
+    # walk over every order raises first at k
+    grid = q_grid(1.0, w_zeros(place_gains(P1.plant, P1.stage1)).phi / math.pi, q_step)
+    answer = grid.index(two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=q_step).chosen_q)
+    stride = round(0.005 / q_step)
+    k = {"next": 1, "stride end": stride, "past stride end": stride + 1,
+         "mid": 2 * stride + 3, "last": answer - 1}[where]
+    assert k < answer
+    _probe_raising(monkeypatch, lambda q: grid[answer] < q <= grid[k])
+    with pytest.raises(_ProbeFault) as caught:
+        two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=q_step)
+    assert caught.value.args == (grid[k],)
 
 
 def test_walks_silence_dominance_warning_only_inside():
@@ -422,7 +530,9 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
 
     two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
     assert calls["w_zeros"] == 1
-    assert calls["solve_cubic"] > 400  # one per probe of the walk
+    # one per probe and one more: 58 calls, where a walk over every grid
+    # order made 494
+    assert calls["solve_cubic"] <= 60
     points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
     assert calls["w_zeros"] == 2
     assert sum(p.equivalent_gains is not None for p in points) > 20
