@@ -40,7 +40,7 @@ from .simulate import (
     metrics,
     simulate_closed_loop,
 )
-from .tuner import TargetUnreachable, TuningReport, mcurve, two_stage_tune
+from .tuner import DEFAULT_Q_STEP, TargetUnreachable, TuningReport, mcurve, two_stage_tune
 
 __all__ = ["main", "RunConfig", "PRESETS"]
 
@@ -67,7 +67,7 @@ class RunConfig:
     plant: Plant | None = None
     target: ClosedLoopTarget | None = None
     desired_zeta: float | None = None
-    tune_q_step: float = 0.005
+    tune_q_step: float = DEFAULT_Q_STEP
     r: float = 1.0
     refine: bool = False
     q_from: float = Q_SWEEP_HIGH

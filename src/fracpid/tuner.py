@@ -38,6 +38,9 @@ __all__ = [
 # a grid point terminate there instead of drifting one step further
 ZETA_SLACK = 1e-8
 
+# default stage-2 grid step; the strided search takes one such step per stride
+DEFAULT_Q_STEP = 0.005
+
 # longest q grid a sweep or the stage-2 walk may build; the benchmark's
 # grids peak near 5000 points (stage 2 at q_step 0.0002)
 MAX_Q_POINTS = 100_000
@@ -148,7 +151,7 @@ def two_stage_tune(
     plant: Plant,
     stage1_target: ClosedLoopTarget,
     desired_zeta: float,
-    q_step: float = 0.005,
+    q_step: float = DEFAULT_Q_STEP,
     r: float = 1.0,
     refine: bool = False,
 ) -> TuningReport:
@@ -163,14 +166,15 @@ def two_stage_tune(
     the step is halved twice after the first hit to edge the chosen order
     closer to the damping boundary.
 
-    The search strides S = max(1, floor(0.005/q_step)) grid steps, one
-    default step in q. From a clear index i (stable, damping below the
-    target) it probes i+1, j = i+S and j+1, and skips i+2..j-1 only when all
-    three are clear and the damping rises at both ends of the stride;
-    otherwise it walks i+1..j in order. It returns what a walk over every
-    grid order would, unless the damping turns twice, or a stability pocket
-    opens (or a probe raises), strictly inside a stride whose ends are clear
-    and rising. At q_step >= 0.005 the stride is 1 and the search is the walk.
+    The search strides S = max(1, floor(DEFAULT_Q_STEP/q_step + 1e-9)) grid
+    steps, one default step in q (the 1e-9 mirrors q_grid's rounding). From
+    a clear index i (stable, damping below the target) it probes j = i+S and
+    j+1, and skips i+1..j-1 only when both are clear and the damping rises
+    from j to j+1; otherwise it walks i+1..j in order. It returns what a
+    walk over every grid order would, unless the damping turns twice, or a
+    stability pocket opens (or a probe raises), strictly inside a stride
+    whose ends are clear, the far one rising. At q_step >= DEFAULT_Q_STEP
+    the stride is 1 and the search is the walk.
 
     The zeros stay under-damped only while q > phi/pi (phi the stage-1
     w-plane zero angle), so the search probes each of at most
@@ -190,7 +194,7 @@ def two_stage_tune(
 
     zeta_floor = desired_zeta - ZETA_SLACK
     grid = q_grid(1.0, phi / math.pi, q_step)
-    stride = max(1, int(0.005 / q_step + 1e-9))
+    stride = max(1, int(DEFAULT_Q_STEP / q_step + 1e-9))
     seen = {}
 
     def look(k):
@@ -225,8 +229,7 @@ def two_stage_tune(
                 break
             if i == stop:
                 j = stop = i + stride
-                if (stride > 1 and j + 1 < len(grid) and chosen.dominant_zeta < zeta(i + 1)
-                        and zeta(j) < zeta(j + 1)):
+                if stride > 1 and j + 1 < len(grid) and zeta(j) < zeta(j + 1):
                     i = j
                     continue
             i += 1

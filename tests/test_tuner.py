@@ -226,7 +226,8 @@ def _reference_search(plant, stage1_target, desired_zeta, q_step, refine):
     """Stage-2 search as an unbounded walk down from q = 1 that stops at the
     first hit and fails at the first order outside the wedge or unstable.
     Returns (chosen q, gains, pole report), or the walk's TargetUnreachable
-    message when unreachable."""
+    message when unreachable: the grid-ran-out text where that order lies
+    below phi/pi, else the unstable text."""
     stage1_gains = place_gains(plant, stage1_target)
     phi = w_zeros(stage1_gains).phi
 
@@ -244,10 +245,10 @@ def _reference_search(plant, stage1_target, desired_zeta, q_step, refine):
     step_count = 0
     while True:
         q = 1.0 - step_count * q_step
-        if q < phi / math.pi:
+        result = probe(q) if q > 0.0 else None
+        if result is None and q < phi / math.pi:
             return (f"no order on the {q_step:g} grid above phi/pi={phi / math.pi:g} "
                     f"reaches damping {desired_zeta:g}")
-        result = probe(q)
         if result is None:
             return (f"loop unstable or zeros outside the under-damped wedge at q={q:g} "
                     f"before damping {desired_zeta:g} was reached")
@@ -530,8 +531,8 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
 
     two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
     assert calls["w_zeros"] == 1
-    # one per probe and one more: 58 calls, where a walk over every grid
-    # order made 494
+    # one per probe and two more: 58 calls for 56 probes, where a walk over
+    # every grid order made 494
     assert calls["solve_cubic"] <= 60
     points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
     assert calls["w_zeros"] == 2
