@@ -131,15 +131,22 @@ def q_from_p(plant: Plant, p: Sym3, r: float = 1.0) -> tuple[float, float, float
     """Diagonal weights that close the algebraic Riccati equation for ``p``.
 
     Warns IndefiniteWeights when a reconstructed entry is negative; the
-    inverse problem does not force standard semi-definite weights.
+    inverse problem does not force standard semi-definite weights. Raises
+    ValueError when the square of an entry of ``p`` overflows; the entries
+    grow linearly with ``r``.
     """
     if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
     g = k * k / r
-    q1 = g * p.a13**2
-    q2 = g * p.a23**2 - 2.0 * (p.a12 - wo * wo * p.a23)
-    q3 = g * p.a33**2 - 2.0 * (p.a23 - 2.0 * zo * wo * p.a33)
+    try:
+        q1 = g * p.a13**2
+        q2 = g * p.a23**2 - 2.0 * (p.a12 - wo * wo * p.a23)
+        q3 = g * p.a33**2 - 2.0 * (p.a23 - 2.0 * zo * wo * p.a33)
+    except OverflowError:
+        raise ValueError(
+            f"effort weight r={r:g} is too large: the Riccati solution's squares overflow"
+        ) from None
     if q1 < 0.0 or q2 < 0.0 or q3 < 0.0:
         warnings.warn(
             f"reconstructed weights ({q1:.6g}, {q2:.6g}, {q3:.6g}) are indefinite",

@@ -241,20 +241,25 @@ def solve_cubic(c: Cubic) -> RootTriple:
     or when outside it the roots span more than the float range: a root lies
     beyond it, or rescaling pushes a nonzero a1 or a0 below the normal floats.
     """
-    a3, a2, a1, a0 = c.a3, c.a2, c.a1, c.a0
+    return RootTriple(_cubic_roots(c.a3, c.a2, c.a1, c.a0))
+
+
+def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, complex, complex]:
+    # solve_cubic on bare coefficients: the sorted root tuple
     scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
     e = _rescale_exponent(a3, a2, a1, a0, scale)
     if not e:
         if a3 == 0.0 or abs(a3) <= 1e-14 * scale:
-            raise DegenerateLeadingCoefficient(f"leading coefficient {c.a3!r} is negligible against {scale!r}")
+            raise DegenerateLeadingCoefficient(f"leading coefficient {a3!r} is negligible against {scale!r}")
     else:
         # solve for t = s / 2**e, with the leading coefficient in [0.5, 1)
+        given = a3, a1, a0  # for the checks and messages below
         lead = -math.frexp(a3)[1]
         a3, a2, a1, a0 = (math.ldexp(a, lead - k * e) for k, a in enumerate((a3, a2, a1, a0)))
         # the smaller roots are taken from a1 and a0
-        if (c.a1 and abs(a1) < _NORMAL_MIN) or (c.a0 and abs(a0) < _NORMAL_MIN):
+        if (given[1] and abs(a1) < _NORMAL_MIN) or (given[2] and abs(a0) < _NORMAL_MIN):
             raise DegenerateLeadingCoefficient(
-                f"leading coefficient {c.a3!r} is negligible: the roots span more than the float range"
+                f"leading coefficient {given[0]!r} is negligible: the roots span more than the float range"
             )
 
     b = a2 / a3
@@ -309,9 +314,9 @@ def solve_cubic(c: Cubic) -> RootTriple:
             roots = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in roots]
         except OverflowError:
             raise DegenerateLeadingCoefficient(
-                f"leading coefficient {c.a3!r} is negligible: a root lies beyond the float range"
+                f"leading coefficient {given[0]!r} is negligible: a root lies beyond the float range"
             ) from None
-    return RootTriple(tuple(roots))
+    return tuple(roots)
 
 
 def eig_sym3(m: Sym3) -> tuple[float, float, float]:

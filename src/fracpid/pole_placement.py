@@ -175,13 +175,27 @@ def _placement_shift(plant: Plant, target: ClosedLoopTarget) -> tuple[float, flo
 
 def closed_loop_characteristic(plant: Plant, gains: PidGains) -> Cubic:
     """Monic closed-loop denominator of the plant under the given PID."""
+    return Cubic(*_closed_loop_coefficients(plant, gains))
+
+
+def _closed_loop_coefficients(plant: Plant, gains: PidGains) -> tuple[float, float, float, float]:
+    # (a3, a2, a1, a0) of closed_loop_characteristic
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
-    return Cubic(
-        1.0,
-        2.0 * zo * wo + k * gains.kd,
-        wo * wo + k * gains.kp,
-        k * gains.ki,
-    )
+    return 1.0, 2.0 * zo * wo + k * gains.kd, wo * wo + k * gains.kp, k * gains.ki
+
+
+def _dominant_reading(r0: complex, r1: complex, r2: complex) -> tuple[float, float, float] | None:
+    # (zeta, omega_n, real_pole) of roots sorted as solve_cubic sorts them, by
+    # |Re| then Im, so a conjugate pair's upper root follows its lower one;
+    # None unless every root has a negative real part
+    if not (r0.real < 0.0 and r1.real < 0.0 and r2.real < 0.0):
+        return None
+    dom = r2 if r2.imag != 0.0 else r1
+    if dom.imag != 0.0:
+        omega = abs(dom)
+        return -dom.real / omega, omega, (r0 if r0.imag == 0.0 else r1 if r1.imag == 0.0 else r2).real
+    # all-real pattern: continuous limit of the pair collapsing onto the axis
+    return 1.0, abs(r0.real), r1.real
 
 
 def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
@@ -192,21 +206,10 @@ def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
     floor under which the real pole visibly distorts the response.
     """
     triple = solve_cubic(closed_loop_characteristic(plant, gains))
-    r0, r1, r2 = triple.roots
-    if not (r0.real < 0.0 and r1.real < 0.0 and r2.real < 0.0):
+    reading = _dominant_reading(*triple.roots)
+    if reading is None:
         raise UnstableClosedLoop(f"closed-loop poles {triple.roots} are not all in the left half plane")
-
-    # roots are sorted by |Re| then Im: a conjugate pair's upper root follows its lower one
-    dom = r2 if r2.imag != 0.0 else r1
-    if dom.imag != 0.0:
-        omega = abs(dom)
-        zeta = -dom.real / omega
-        real_pole = (r0 if r0.imag == 0.0 else r1 if r1.imag == 0.0 else r2).real
-    else:
-        # all-real pattern: continuous limit of the pair collapsing onto the axis
-        zeta = 1.0
-        omega = abs(r0.real)
-        real_pole = r1.real
+    zeta, omega, real_pole = reading
 
     ratio = abs(real_pole) / (zeta * omega)
     if ratio < DOMINANCE_FLOOR:

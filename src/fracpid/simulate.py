@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .numerics import integrate_fixed_step
+from .numerics import NonFiniteState, integrate_fixed_step
 from .pole_placement import PidGains, Plant, closed_loop_poles
 
 __all__ = [
@@ -31,6 +31,10 @@ SETTLING_BAND = 0.02
 # 0.6 * t_end; neither value is prescribed by the method, both are exposed
 DISTURBANCE_FRACTION = 0.5
 DISTURBANCE_TIME_FRACTION = 0.6
+
+# most samples a scenario may ask for; preset and benchmark traces stay
+# below about 12 000
+MAX_SAMPLES = 1_000_000
 
 
 class InvalidScenario(UserWarning):
@@ -65,6 +69,13 @@ class ScenarioSpec:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
+        # the trace holds floor(t_end/dt) + 1 samples (see simulate_closed_loop)
+        steps = self.t_end / self.dt + 1e-9
+        if steps >= MAX_SAMPLES:
+            count = int(steps) + 1 if math.isfinite(steps) else steps
+            raise ValueError(
+                f"scenario of {count} samples exceeds the cap of {MAX_SAMPLES}"
+            )
         if self.disturbance_time is not None and not (
             0.0 <= self.disturbance_time <= self.t_end
         ):
@@ -124,7 +135,8 @@ def simulate_closed_loop(plant: Plant, gains: PidGains, scenario: ScenarioSpec) 
     after the load disturbance, which enters at the plant input and switches
     exactly on a grid point: one matrix exponential per segment. Raises
     UnstableClosedLoop, before sampling, when the gains do not stabilize the
-    loop; warns DominanceWarning as closed_loop_poles does.
+    loop; warns DominanceWarning as closed_loop_poles does. Raises
+    NonFiniteState when a state or the control effort overflows.
     """
     import numpy as np
 
@@ -164,7 +176,12 @@ def simulate_closed_loop(plant: Plant, gains: PidGains, scenario: ScenarioSpec) 
     y, ydot, zint = states.T
     r = np.full(n_total + 1, step)
     d = np.where(np.arange(n_total + 1) >= k_switch, load, 0.0)
-    u = kp * (r - y) + ki * zint - kd * ydot
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow surfaces as the NonFiniteState check below
+        u = kp * (r - y) + ki * zint - kd * ydot
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise NonFiniteState(f"non-finite control effort at t={t[bad[0]]:.6g}")
     return Trace(t=t, r=r, y=y, u=u, d=d)
 
 
@@ -186,6 +203,8 @@ def metrics(trace: Trace, gains: PidGains, scenario: ScenarioSpec) -> ResponseMe
     Overshoot, rise time, and settling are evaluated before a nonzero
     disturbance kicks in; control effort statistics cover the whole trace.
     The output is normalized by the step, so downward steps work too.
+    Raises NonFiniteState when the peak or the integral of the squared
+    control effort is not finite.
     """
     import numpy as np
 
@@ -221,13 +240,20 @@ def metrics(trace: Trace, gains: PidGains, scenario: ScenarioSpec) -> ResponseMe
             "trace does not start from rest",
             stacklevel=2,
         )
+    peak = float(np.abs(trace.u).max())
+    with np.errstate(over="ignore"):
+        ise = float(trapezoid(trace.u**2, trace.t))
+    if not (math.isfinite(peak) and math.isfinite(ise)):
+        raise NonFiniteState(
+            f"control effort overflows: peak {peak:.6g}, integral of squares {ise:.6g}"
+        )
     return ResponseMetrics(
         percent_overshoot=overshoot,
         rise_time_10_90=rise,
         settling_time_2pct=settling,
-        peak_control=float(np.abs(trace.u).max()),
+        peak_control=peak,
         initial_control=initial,
         iae=float(trapezoid(np.abs(trace.r - trace.y), trace.t)),
-        control_ise=float(trapezoid(trace.u**2, trace.t)),
+        control_ise=ise,
         settled=settled,
     )

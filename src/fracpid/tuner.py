@@ -11,18 +11,17 @@ initial control effort.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .fractional_map import WedgeClass, _equivalent_at, _s_zero_at, classify_wedge, w_zeros
 from .lqr_inverse import RiccatiPackage, delta_p_eigenvalues, riccati_package
+from .numerics import _cubic_roots
 from .pole_placement import (
     ClosedLoopTarget,
-    DominanceWarning,
     PidGains,
     Plant,
-    UnstableClosedLoop,
-    closed_loop_poles,
+    _closed_loop_coefficients,
+    _dominant_reading,
     place_gains,
 )
 
@@ -107,18 +106,15 @@ def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
 
 def _probe(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
     # one M-curve point without its s-plane zero, phi the stage-1 w-plane
-    # zero angle; callers ignore DominanceWarning around their whole walk, as
-    # it belongs to designs
+    # zero angle: the dominant pole as closed_loop_poles reads it, from the
+    # bare roots, so a probe never warns (dominance belongs to designs)
     point = MCurvePoint(q=q, wedge=classify_wedge(phi, q), stable=False)
     if point.wedge is WedgeClass.UNDER_DAMPED:
-        point.equivalent_gains = _equivalent_at(stage1_gains, phi, q)
-        try:
-            report = closed_loop_poles(plant, point.equivalent_gains)
-        except UnstableClosedLoop:
-            return point
-        point.stable = True
-        point.dominant_zeta = report.dominant_zeta
-        point.dominant_omega_n = report.dominant_omega_n
+        point.equivalent_gains = gains = _equivalent_at(stage1_gains, phi, q)
+        reading = _dominant_reading(*_cubic_roots(*_closed_loop_coefficients(plant, gains)))
+        if reading is not None:
+            point.stable = True
+            point.dominant_zeta, point.dominant_omega_n, _ = reading
     return point
 
 
@@ -137,13 +133,11 @@ def mcurve(
     """
     phi = w_zeros(stage1_gains).phi
     points = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DominanceWarning)
-        for q in q_grid(q_from, q_to, q_step):
-            point = _probe(plant, stage1_gains, phi, q)
-            if point.equivalent_gains is not None:
-                point.s_zero = _s_zero_at(stage1_gains, phi, q)
-            points.append(point)
+    for q in q_grid(q_from, q_to, q_step):
+        point = _probe(plant, stage1_gains, phi, q)
+        if point.equivalent_gains is not None:
+            point.s_zero = _s_zero_at(stage1_gains, phi, q)
+        points.append(point)
     return points
 
 
@@ -213,37 +207,35 @@ def two_stage_tune(
         clear = isinstance(point, MCurvePoint) and point.stable and point.dominant_zeta < zeta_floor
         return point.dominant_zeta if clear else math.nan
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DominanceWarning)
-        i = stop = 0  # the walk stands at i; at stop it tries the next stride
-        while i < len(grid):
-            chosen = look(i)
-            if isinstance(chosen, Exception):
-                raise chosen
-            if not chosen.stable:
-                raise TargetUnreachable(
-                    f"loop unstable or zeros outside the under-damped wedge "
-                    f"at q={grid[i]:g} before damping {desired_zeta:g} was reached"
-                )
-            if chosen.dominant_zeta >= zeta_floor:
-                break
-            if i == stop:
-                j = stop = i + stride
-                if stride > 1 and j + 1 < len(grid) and zeta(j) < zeta(j + 1):
-                    i = j
-                    continue
-            i += 1
-        else:
+    i = stop = 0  # the walk stands at i; at stop it tries the next stride
+    while i < len(grid):
+        chosen = look(i)
+        if isinstance(chosen, Exception):
+            raise chosen
+        if not chosen.stable:
             raise TargetUnreachable(
-                f"no order on the {q_step:g} grid above phi/pi="
-                f"{phi / math.pi:g} reaches damping {desired_zeta:g}"
+                f"loop unstable or zeros outside the under-damped wedge "
+                f"at q={grid[i]:g} before damping {desired_zeta:g} was reached"
             )
-        if refine:
-            for half in (0.5 * q_step, 0.25 * q_step):
-                if chosen.q + half <= 1.0:
-                    candidate = _probe(plant, stage1_gains, phi, chosen.q + half)
-                    if candidate.stable and candidate.dominant_zeta >= zeta_floor:
-                        chosen = candidate
+        if chosen.dominant_zeta >= zeta_floor:
+            break
+        if i == stop:
+            j = stop = i + stride
+            if stride > 1 and j + 1 < len(grid) and zeta(j) < zeta(j + 1):
+                i = j
+                continue
+        i += 1
+    else:
+        raise TargetUnreachable(
+            f"no order on the {q_step:g} grid above phi/pi="
+            f"{phi / math.pi:g} reaches damping {desired_zeta:g}"
+        )
+    if refine:
+        for half in (0.5 * q_step, 0.25 * q_step):
+            if chosen.q + half <= 1.0:
+                candidate = _probe(plant, stage1_gains, phi, chosen.q + half)
+                if candidate.stable and candidate.dominant_zeta >= zeta_floor:
+                    chosen = candidate
 
     suboptimal_gains = chosen.equivalent_gains
     achieved = ClosedLoopTarget(

@@ -29,7 +29,7 @@ from fracpid import (
 )
 from fracpid import cli
 from fracpid.cli import MCURVE_HEADER, PRESETS, TRACE_HEADER, TUNE_HEADER, main
-from fracpid.simulate import DISTURBANCE_FRACTION
+from fracpid.simulate import DISTURBANCE_FRACTION, MAX_SAMPLES
 from fracpid.tuner import MAX_Q_POINTS
 
 
@@ -286,6 +286,16 @@ def test_huge_target_frequency_exits_2(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["tune", "inverse"])
+def test_huge_effort_weight_exits_2(command, capsys):
+    # the Riccati solution grows linearly with r: at r = 1e300 its entries
+    # reach ~3e301 and their squares overflow
+    assert run_cli([command, "--preset", "p1", "--r=1e300"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: effort weight r=1e+300 is too large: the Riccati solution's squares overflow\n"
+    )
+
+
 def test_mcurve_bad_grid_exits_2(capsys):
     code, _ = run_cli(["mcurve", "--preset", "p1", "--q-step", "-0.1"])
     assert code == 2
@@ -367,6 +377,29 @@ def test_simulate_config_file_with_two_gain_sections(tmp_path):
     assert "comparison (first/second):" in text
     assert (tmp_path / "pair-a.csv").exists()
     assert (tmp_path / "pair-b.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dt=1e-9", "--gains=1,1e-9,1"])
+def test_simulate_over_the_sample_cap_exits_2_at_once(flag, capsys):
+    # 1e-9 s steps over the preset horizon ask for 3.8e9 samples; the gains'
+    # slow dominant pole stretches the default horizon to 4e13 samples
+    start = time.perf_counter()
+    assert run_cli(["simulate", "--preset", "p1", flag]) == (2, "")
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    prefix, suffix = "error: scenario of ", f" samples exceeds the cap of {MAX_SAMPLES}\n"
+    assert err.startswith(prefix) and err.endswith(suffix)
+    assert int(err[len(prefix) : -len(suffix)]) > 1000 * MAX_SAMPLES
+
+
+@pytest.mark.parametrize(
+    "amplitude,message",
+    [("1e307", "error: non-finite control effort at t="), ("1e300", "error: control effort overflows: ")],
+)
+def test_simulate_overflowing_control_effort_exits_3(amplitude, message, capsys):
+    # warnings are errors in this suite, so no numpy RuntimeWarning was raised
+    assert run_cli(["simulate", "--preset", "p1", f"--disturbance-amplitude={amplitude}"]) == (3, "")
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_simulate_zero_gains_exits_3(capsys):

@@ -12,6 +12,7 @@ from fracpid import (
     ClosedLoopTarget,
     DominanceWarning,
     InvalidScenario,
+    NonFiniteState,
     PidGains,
     Plant,
     ScenarioSpec,
@@ -22,7 +23,7 @@ from fracpid import (
     simulate_closed_loop,
 )
 from fracpid.cli import PRESETS
-from fracpid.simulate import DISTURBANCE_FRACTION
+from fracpid.simulate import DISTURBANCE_FRACTION, MAX_SAMPLES
 
 from cases import BENCHMARKS, OSCILLATORY
 
@@ -160,6 +161,30 @@ def test_scenario_validation():
         ScenarioSpec(t_end=0.01, dt=0.1)
     with pytest.raises(ValueError):
         ScenarioSpec(t_end=1.0, dt=0.01, disturbance_time=2.0)
+
+
+@pytest.mark.parametrize(
+    "t_end,dt,count",
+    [(1.0, 1e-12, "1000000000001"), (4e6, 1e-3, "4000000001"), (1e300, 1e-300, "inf")],
+)
+def test_scenario_caps_the_sample_count_before_sampling(t_end, dt, count):
+    with pytest.raises(ValueError, match=f"^scenario of {count} samples exceeds the cap of {MAX_SAMPLES}$"):
+        ScenarioSpec(t_end=t_end, dt=dt)
+
+
+def test_overflowing_control_effort_is_a_typed_error():
+    # a load of 1e307 drives the effort past the float range while the state
+    # stays finite; at 1e300 the effort is finite but its square is not. The
+    # suite turns warnings into errors, so numpy's RuntimeWarning would fail too.
+    scenario = default_scenario(P1, 0.75, 7.0, disturbance_amplitude=1e307)
+    with pytest.raises(NonFiniteState, match="^non-finite control effort at t="):
+        simulate_closed_loop(P1, P1_STAGE1, scenario)
+    scenario = default_scenario(P1, 0.75, 7.0, disturbance_amplitude=1e300)
+    trace = simulate_closed_loop(P1, P1_STAGE1, scenario)
+    assert np.isfinite(trace.u).all()
+    overflow = r"^control effort overflows: peak 5\.30\d+e\+301, integral of squares inf$"
+    with pytest.raises(NonFiniteState, match=overflow):
+        metrics(trace, P1_STAGE1, scenario)
 
 
 @pytest.mark.parametrize(

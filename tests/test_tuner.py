@@ -15,6 +15,8 @@ from fracpid import (
     Cubic,
     DominanceWarning,
     IndefiniteWeights,
+    OutsideWedge,
+    PidGains,
     Plant,
     TargetUnreachable,
     UnstableClosedLoop,
@@ -27,7 +29,7 @@ from fracpid import (
     two_stage_tune,
     w_zeros,
 )
-from fracpid import fractional_map, pole_placement, tuner
+from fracpid import fractional_map, numerics, pole_placement, tuner
 from fracpid.tuner import MAX_Q_POINTS, ZETA_SLACK, q_grid
 
 from cases import BENCHMARKS, gains_tuple, max_rel_err
@@ -525,16 +527,87 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     w_zeros_counted = counted(fractional_map, "w_zeros")
     for module in (fractional_map, tuner):
         monkeypatch.setattr(module, "w_zeros", w_zeros_counted)
-    monkeypatch.setattr(pole_placement, "solve_cubic", counted(pole_placement, "solve_cubic"))
+    for owner, name in ((pole_placement, "solve_cubic"), (tuner, "_cubic_roots"), (tuner, "_probe")):
+        monkeypatch.setattr(owner, name, counted(owner, name))
     for name in ("__call__", "derivative"):
         monkeypatch.setattr(Cubic, name, counted(Cubic, name))
 
     two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
     assert calls["w_zeros"] == 1
-    # one per probe and two more: 58 calls for 56 probes, where a walk over
-    # every grid order made 494
-    assert calls["solve_cubic"] <= 60
+    # at most one cubic per probe: 56 probes, where a walk over every grid
+    # order made 492; the public solver serves only the two Riccati packages
+    assert calls["_cubic_roots"] <= calls["_probe"] <= 58
+    assert calls["solve_cubic"] == 2
+    tune_calls = calls.copy()
     points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
     assert calls["w_zeros"] == 2
-    assert sum(p.equivalent_gains is not None for p in points) > 20
+    mapped = sum(p.equivalent_gains is not None for p in points)
+    assert mapped > 20
+    # one cubic for each point inside the wedge, none for the others
+    assert calls["_probe"] - tune_calls["_probe"] == len(points)
+    assert calls["_cubic_roots"] - tune_calls["_cubic_roots"] == mapped
+    assert calls["solve_cubic"] == 2
     assert calls["__call__"] == calls["derivative"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the probe against the public path
+# ---------------------------------------------------------------------------
+
+def _outcome(call):
+    # a call's result, or the type and text of what it raised
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_probe_reads_what_closed_loop_poles_reads_at_any_scale():
+    rng = random.Random(7)
+
+    def magnitude(decades):
+        return 10.0 ** rng.uniform(-decades, decades)
+
+    kinds = Counter()
+    for _ in range(6000):
+        plant = Plant(rng.choice((-1.0, 1.0)) * magnitude(30), magnitude(3), magnitude(30))
+        decades = rng.choice((3, 300))
+        ki, kd = magnitude(decades), magnitude(decades)
+        kp = rng.uniform(-1.9, 1.9) * math.sqrt(ki) * math.sqrt(kd)
+        try:
+            gains = PidGains(kp, ki, kd)
+            phi = w_zeros(gains).phi
+        except ValueError:  # kp overflowed, or the zeros are real
+            continue
+        q = min(2.0, phi / math.pi * rng.uniform(0.9, 2.1))
+
+        probed = _outcome(lambda: tuner._probe(plant, gains, phi, q))
+        mapped = _outcome(lambda: equivalent_pid(gains, q))
+        if isinstance(mapped, tuple):
+            if mapped[0] is OutsideWedge:
+                kinds["outside the wedge"] += 1
+                assert probed.wedge is not WedgeClass.UNDER_DAMPED
+                assert (probed.equivalent_gains, probed.stable) == (None, False)
+            else:
+                kinds["gains overflow"] += 1
+                assert probed == mapped
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DominanceWarning)
+            public = _outcome(lambda: closed_loop_poles(plant, mapped))
+        coefficients = pole_placement.closed_loop_characteristic(plant, mapped).coefficients()
+        rescaled = numerics._rescale_exponent(*coefficients, max(map(abs, coefficients))) != 0
+        if isinstance(public, tuple):
+            if public[0] is UnstableClosedLoop:
+                kinds["unstable"] += 1
+                assert (probed.equivalent_gains, probed.stable) == (mapped, False)
+            else:
+                kinds[public[0].__name__] += 1
+                assert probed == public
+            continue
+        kinds["stable, rescaled" if rescaled else "stable"] += 1
+        assert probed.equivalent_gains == mapped and probed.stable
+        assert _exact(probed.dominant_zeta, probed.dominant_omega_n) == _exact(
+            public.dominant_zeta, public.dominant_omega_n
+        )
+    assert min(kinds.values()) >= 20 and len(kinds) == 6, kinds
