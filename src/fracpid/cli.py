@@ -109,8 +109,7 @@ PRESETS: dict[str, dict] = {
 
 # the one rule for numeric output: 6 significant digits
 _SIG6 = "%.6g"
-# a trace row is five floats (TRACE_HEADER), formatted a block of rows at a time
-_TRACE_ROW = ",".join([_SIG6] * 5) + "\n"
+# most trace rows filled by one % operation
 _TRACE_BLOCK = 512
 
 
@@ -437,12 +436,17 @@ def _cmd_mcurve(args: argparse.Namespace, out) -> int:
 def _trace_csv(trace: Trace) -> str:
     import numpy as np
 
-    # every cell is a float, so each block of rows takes one % operation
-    rows = np.column_stack((trace.t, trace.r, trace.y, trace.u, trace.d))
+    # r and d change only where an input switches. Cut the rows there, by bits so
+    # 0.0/-0.0 and NaN payloads keep their own cells, and every _TRACE_BLOCK rows:
+    # a piece formats r and d once into its row template (a %.6g cell has no %).
+    bits = np.column_stack((trace.r, trace.d)).view(np.int64)
+    switches = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+    cuts = sorted({*range(0, len(bits), _TRACE_BLOCK), *switches.tolist(), len(bits)})
+    tyu = np.column_stack((trace.t, trace.y, trace.u))
     parts = [TRACE_HEADER + "\n"]
-    for k in range(0, len(rows), _TRACE_BLOCK):
-        block = rows[k : k + _TRACE_BLOCK]
-        parts.append(_TRACE_ROW * len(block) % tuple(block.ravel().tolist()))
+    for lo, hi in zip(cuts, cuts[1:]):
+        row = f"{_SIG6},{_SIG6 % trace.r[lo]},{_SIG6},{_SIG6},{_SIG6 % trace.d[lo]}\n"
+        parts.append(row * (hi - lo) % tuple(tyu[lo:hi].ravel().tolist()))
     return "".join(parts)
 
 

@@ -156,7 +156,8 @@ def simulate_closed_loop(plant: Plant, gains: PidGains, scenario: ScenarioSpec) 
     dt = scenario.dt
     n_total = int(math.floor(scenario.t_end / dt + 1e-9))
 
-    load = scenario.disturbance_amplitude
+    # a zero load, -0.0 too, is no disturbance: d is +0 in every sample
+    load = scenario.disturbance_amplitude or 0.0
     k_switch = n_total
     if load != 0.0:
         k_switch = min(round(scenario.resolved_disturbance_time() / dt), n_total)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, CSV formats."""
 
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -477,6 +478,16 @@ def test_simulate_disturbance_column(tmp_path):
     assert rows[-1].endswith(",0.5")
 
 
+def test_simulate_negative_zero_disturbance_is_no_disturbance():
+    # -0.0 is no load: every d cell prints 0, the last one as well
+    base = ["simulate", "--preset", "p1", "--t-end", "0.005"]
+    code, text = run_cli(base + ["--disturbance-amplitude", "-0.0"])
+    assert code == 0
+    (trace,) = _printed_traces(text)
+    assert [row.rsplit(",", 1)[1] for row in trace.splitlines()[1:]] == ["0"] * 6
+    assert _printed_traces(run_cli(base)[1]) == [trace]
+
+
 # ---------------------------------------------------------------------------
 # inverse
 # ---------------------------------------------------------------------------
@@ -681,6 +692,92 @@ def test_trace_csv_matches_reference_on_any_float(rows):
     cols.flat[:n] = SPECIAL_FLOATS[:n]
     trace = Trace(*cols)
     assert cli._trace_csv(trace) == ref_trace_csv(trace)
+
+
+def _piecewise_trace(n, r_runs, d_runs, seed=0):
+    """n rows of random bits whose r and d columns hold each ``(start, value)``
+    of their runs, in order of start, until the next start."""
+    cols = np.random.default_rng(seed).integers(0, 2**64, size=(5, n), dtype=np.uint64)
+    cols = cols.view(np.float64)
+    for c, runs in ((1, r_runs), (4, d_runs)):
+        for start, value in runs:
+            cols[c, start:] = value
+    return Trace(*cols)
+
+
+NAN_PAYLOAD = float(np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0])
+RUN_VALUES = st.sampled_from(SPECIAL_FLOATS + [-math.nan, NAN_PAYLOAD]) | st.floats()
+
+
+@st.composite
+def piecewise_traces(draw):
+    n = draw(st.integers(1, 1300))
+    runs = []
+    for _ in range(2):
+        starts = sorted(set(draw(st.lists(st.integers(0, n - 1), max_size=6))) | {0})
+        runs.append([(start, draw(RUN_VALUES)) for start in starts])
+    return _piecewise_trace(n, *runs, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@given(piecewise_traces())
+@example(_piecewise_trace(1300, [(0, 1.0), (1, 2.0), (1299, -1.0)],
+                          [(0, 0.0), (511, 0.5), (512, -0.5), (513, 0.5), (1299, 0.0)]))
+@example(_piecewise_trace(1300, [(0, 1.0), (511, 1.0), (512, 9.999995), (513, 1e16)],
+                          [(0, 0.5), (1299, 0.5)]))
+@example(_piecewise_trace(600, [(0, 0.0), (5, -0.0), (6, 0.0), (512, -0.0)],
+                          [(0, -0.0), (1, 0.0), (599, -0.0)]))
+@example(_piecewise_trace(600, [(0, math.nan), (3, NAN_PAYLOAD), (4, -math.nan), (513, math.nan)],
+                          [(0, math.nan), (1, 1.0), (2, NAN_PAYLOAD), (599, math.nan)]))
+@example(_piecewise_trace(1, [(0, -0.0)], [(0, math.nan)]))
+@example(_piecewise_trace(2, [(0, 1.0)], [(0, 0.0), (1, 0.5)]))
+def test_trace_csv_matches_reference_on_piecewise_inputs(trace):
+    # r and d hold still between switches at random rows, the cases the writer
+    # formats once per run: block edges, 0.0 next to -0.0, NaN next to NaN
+    assert cli._trace_csv(trace) == ref_trace_csv(trace)
+
+
+def _printed_traces(text):
+    """Each trace CSV block a simulate command printed, in order."""
+    blocks = []
+    for chunk in text.split(TRACE_HEADER + "\n")[1:]:
+        rows = itertools.takewhile(lambda row: ":" not in row, chunk.splitlines(keepends=True))
+        blocks.append(TRACE_HEADER + "\n" + "".join(rows))
+    return blocks
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_simulate_prints_the_library_trace_when_the_load_switches_at_an_end(end):
+    plant, target = _preset("p1")
+    switch = 0.0 if end == "first" else default_scenario(plant, target.zeta_cl, target.omega_n_cl).t_end
+    code, text = run_cli(
+        ["simulate", "--preset", "p1", "--disturb", "--disturbance-time", repr(switch)]
+    )
+    assert code == 0
+    scenario = default_scenario(
+        plant, target.zeta_cl, target.omega_n_cl,
+        disturbance_amplitude=DISTURBANCE_FRACTION, disturbance_time=switch,
+    )
+    trace = simulate_closed_loop(plant, place_gains(plant, target), scenario)
+    # the load is on from the first sample, or on the last sample only
+    n = trace.d.size
+    assert np.flatnonzero(trace.d).tolist() == (list(range(n)) if end == "first" else [n - 1])
+    assert _printed_traces(text) == [ref_trace_csv(trace)]
+
+
+def test_simulate_compare_disturbed_prints_the_library_traces():
+    code, text = run_cli(["simulate", "--preset", "p2", "--compare", "--disturb"])
+    assert code == 0
+    plant, target = _preset("p2")
+    report = two_stage_tune(plant, target, PRESETS["p2"]["desired_zeta"])
+    scenario = default_scenario(
+        plant, report.achieved_zeta, report.achieved_omega_n,
+        disturbance_amplitude=DISTURBANCE_FRACTION,
+    )
+    traces = [
+        simulate_closed_loop(plant, gains, scenario)
+        for gains in (report.suboptimal_gains, report.single_stage_gains)
+    ]
+    assert _printed_traces(text) == [ref_trace_csv(trace) for trace in traces]
 
 
 def test_metrics_lines_unsettled_match_reference():
