@@ -34,7 +34,6 @@ from .pole_placement import (
 )
 from .simulate import (
     DISTURBANCE_FRACTION,
-    ResponseMetrics,
     Trace,
     default_scenario,
     metrics,
@@ -133,8 +132,30 @@ def _csv(header: str, rows) -> str:
     return "".join([header + "\n", *(",".join(map(_cell, row)) + "\n" for row in rows)])
 
 
-def _fmt_gains(g: PidGains) -> str:
-    return f"kp={fmt(g.kp)} ki={fmt(g.ki)} kd={fmt(g.kd)}"
+def _fields(obj) -> list[tuple]:
+    # a dataclass's (name, value) pairs in field order
+    return [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+
+
+def _render(record, indent: str = "") -> str:
+    """Text of a record, a list of (label, value) entries: one `label: value`
+    line each, or for a list value a block of its entries indented two spaces
+    under `label:`. A dataclass or a dict prints as name=value pairs in field
+    order, a tuple as space-separated cells, anything else as one _cell."""
+    lines = []
+    for label, value in record:
+        if isinstance(value, list):
+            lines.append(f"{indent}{label}:\n{_render(value, indent + '  ')}")
+            continue
+        if isinstance(value, tuple):
+            text = " ".join(map(_cell, value))
+        elif isinstance(value, dict) or dataclasses.is_dataclass(value):
+            pairs = value.items() if isinstance(value, dict) else _fields(value)
+            text = " ".join([f"{name}={_cell(v)}" for name, v in pairs])
+        else:
+            text = _cell(value)
+        lines.append(f"{indent}{label}: {text}\n")
+    return "".join(lines)
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -272,21 +293,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, q_step_attr if flag == "q_step" else flag, value)
     if getattr(args, "refine", False):
         cfg.refine = True
-    if getattr(args, "gains", None):
-        cfg.gains = _parse_gains_flag(args.gains)
-    if getattr(args, "gains2", None):
-        cfg.gains2 = _parse_gains_flag(args.gains2)
+    for flag in ("gains", "gains2"):
+        raw = getattr(args, flag, None)
+        if raw:
+            setattr(cfg, flag, _parse_gains_flag(flag, raw))
     return cfg
 
 
-def _parse_gains_flag(raw: str) -> PidGains:
+def _parse_gains_flag(flag: str, raw: str) -> PidGains:
     parts = raw.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"--gains expects kp,ki,kd; got {raw!r}")
+        raise ConfigError(f"--{flag} expects kp,ki,kd; got {raw!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"--gains values are not numbers: {raw!r}") from exc
+        raise ConfigError(f"--{flag} values are not numbers: {raw!r}") from exc
     return PidGains(*values)
 
 
@@ -310,11 +331,6 @@ def _write_text(path: str | None, text: str, out) -> None:
             handle.write(text)
 
 
-def _print_warnings(caught, out) -> None:
-    for item in caught:
-        out.write(f"warning: {item.message}\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -327,37 +343,31 @@ def _cmd_place(args: argparse.Namespace, out) -> int:
         warnings.simplefilter("always")
         gains = place_gains(plant, target)
         report = closed_loop_poles(plant, gains)
-    out.write(
-        f"plant: k={fmt(plant.k)} zeta_ol={fmt(plant.zeta_ol)} "
-        f"omega_n_ol={fmt(plant.omega_n_ol)}\n"
-    )
-    out.write(
-        f"target: zeta_cl={fmt(target.zeta_cl)} omega_n_cl={fmt(target.omega_n_cl)} "
-        f"m={fmt(target.m)}\n"
-    )
-    out.write(f"gains: {_fmt_gains(gains)}\n")
-    roots = ", ".join(
+    poles = ", ".join(
         f"{fmt(r.real)}{'+' if r.imag >= 0 else '-'}{fmt(abs(r.imag))}j"
         for r in report.roots.roots
     )
-    out.write(f"poles: {roots}\n")
-    out.write(
-        f"dominant: zeta={fmt(report.dominant_zeta)} "
-        f"omega_n={fmt(report.dominant_omega_n)}\n"
-    )
-    out.write(f"real pole: {fmt(report.real_pole)}\n")
-    out.write(f"dominance ratio: {fmt(report.dominance_ratio)}\n")
-    _print_warnings(caught, out)
+    out.write(_render([
+        ("plant", plant),
+        ("target", target),
+        ("gains", gains),
+        ("poles", poles),
+        ("dominant", {"zeta": report.dominant_zeta, "omega_n": report.dominant_omega_n}),
+        ("real pole", report.real_pole),
+        ("dominance ratio", report.dominance_ratio),
+        *(("warning", str(item.message)) for item in caught),
+    ]))
     return EXIT_OK
 
 
-def _riccati_lines(label: str, pkg: RiccatiPackage) -> list[str]:
+def _riccati_entries(label: str, pkg: RiccatiPackage) -> list[tuple]:
+    q1, q2, q3 = pkg.q_diag
     p = pkg.p
     return [
-        f"weights ({label}): q1={fmt(pkg.q_diag[0])} q2={fmt(pkg.q_diag[1])} "
-        f"q3={fmt(pkg.q_diag[2])} r={fmt(pkg.r)}",
-        f"riccati p ({label}): p11={fmt(p.a11)} p12={fmt(p.a12)} p13={fmt(p.a13)} "
-        f"p22={fmt(p.a22)} p23={fmt(p.a23)} p33={fmt(p.a33)}",
+        (f"weights ({label})", {"q1": q1, "q2": q2, "q3": q3, "r": pkg.r}),
+        (f"riccati p ({label})", {
+            "p11": p.a11, "p12": p.a12, "p13": p.a13, "p22": p.a22, "p23": p.a23, "p33": p.a33,
+        }),
     ]
 
 
@@ -385,27 +395,22 @@ def _cmd_tune(args: argparse.Namespace, out) -> int:
         r=cfg.r,
         refine=cfg.refine,
     )
-    lines = [
-        f"plant: k={fmt(plant.k)} zeta_ol={fmt(plant.zeta_ol)} "
-        f"omega_n_ol={fmt(plant.omega_n_ol)}",
-        f"stage 1 target: zeta_cl={fmt(target.zeta_cl)} "
-        f"omega_n_cl={fmt(target.omega_n_cl)} m={fmt(target.m)}",
-        f"stage-1 gains: {_fmt_gains(report.stage1_gains)}",
-        f"desired zeta: {fmt(cfg.desired_zeta)}",
-        f"chosen q: {fmt(report.chosen_q)}",
-        f"achieved: zeta={fmt(report.achieved_zeta)} "
-        f"omega_n={fmt(report.achieved_omega_n)}",
-        f"suboptimal gains: {_fmt_gains(report.suboptimal_gains)}",
-        f"single-stage gains: {_fmt_gains(report.single_stage_gains)}",
-        *_riccati_lines("single-stage", report.riccati_lqr),
-        *_riccati_lines("suboptimal", report.riccati_subopt),
-        "delta-p eigenvalues: "
-        + " ".join(fmt(e) for e in report.delta_p_eigs),
-        f"cost verdict: {report.cost_verdict}",
-        f"initial control (single-stage): {fmt(report.initial_control_lqr)}",
-        f"initial control (suboptimal): {fmt(report.initial_control_subopt)}",
-    ]
-    out.write("\n".join(lines) + "\n")
+    out.write(_render([
+        ("plant", plant),
+        ("stage 1 target", target),
+        ("stage-1 gains", report.stage1_gains),
+        ("desired zeta", cfg.desired_zeta),
+        ("chosen q", report.chosen_q),
+        ("achieved", {"zeta": report.achieved_zeta, "omega_n": report.achieved_omega_n}),
+        ("suboptimal gains", report.suboptimal_gains),
+        ("single-stage gains", report.single_stage_gains),
+        *_riccati_entries("single-stage", report.riccati_lqr),
+        *_riccati_entries("suboptimal", report.riccati_subopt),
+        ("delta-p eigenvalues", report.delta_p_eigs),
+        ("cost verdict", report.cost_verdict),
+        ("initial control (single-stage)", report.initial_control_lqr),
+        ("initial control (suboptimal)", report.initial_control_subopt),
+    ]))
     if cfg.out is not None:
         _write_text(cfg.out, _tune_csv(report), out)
     return EXIT_OK
@@ -448,13 +453,6 @@ def _trace_csv(trace: Trace) -> str:
         row = f"{_SIG6},{_SIG6 % trace.r[lo]},{_SIG6},{_SIG6},{_SIG6 % trace.d[lo]}\n"
         parts.append(row * (hi - lo) % tuple(tyu[lo:hi].ravel().tolist()))
     return "".join(parts)
-
-
-def _metrics_lines(label: str, m: ResponseMetrics) -> list[str]:
-    # the dataclass field order is the printed order
-    return [f"metrics ({label}):"] + [
-        f"  {f.name}: {_cell(getattr(m, f.name))}" for f in dataclasses.fields(ResponseMetrics)
-    ]
 
 
 def _out_path_for(base: str | None, label: str) -> str | None:
@@ -516,21 +514,19 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         trace = simulate_closed_loop(plant, gains, scenario)
         results.append((label, gains, trace, metrics(trace, gains, scenario)))
 
-    disturbance_note = ""
-    if scenario.disturbance_amplitude != 0.0:
-        disturbance_note = f" at t={fmt(scenario.resolved_disturbance_time())}"
+    disturbance = scenario.disturbance_amplitude
+    if disturbance != 0.0:
+        disturbance = f"{fmt(disturbance)} at t={fmt(scenario.resolved_disturbance_time())}"
         if scenario.disturbance_time is None:
             # timing is a package default, not part of the tuning method
-            disturbance_note += " (default 0.6*t_end)"
-    out.write(
-        f"scenario: t_end={fmt(scenario.t_end)} dt={fmt(scenario.dt)} "
-        f"step={fmt(scenario.step_amplitude)} "
-        f"disturbance={fmt(scenario.disturbance_amplitude)}{disturbance_note}\n"
-    )
-
+            disturbance += " (default 0.6*t_end)"
+    record = [("scenario", {
+        "t_end": scenario.t_end, "dt": scenario.dt,
+        "step": scenario.step_amplitude, "disturbance": disturbance,
+    })]
     for label, gains, _trace, m in results:
-        out.write(f"controller ({label}): {_fmt_gains(gains)}\n")
-        out.write("\n".join(_metrics_lines(label, m)) + "\n")
+        record += [(f"controller ({label})", gains), (f"metrics ({label})", _fields(m))]
+    out.write(_render(record))
 
     if len(results) == 1:
         _write_text(cfg.out, _trace_csv(results[0][2]), out)
@@ -543,13 +539,11 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
             else:
                 _write_text(path, _trace_csv(trace), out)
         (_, _, trace_a, met_a), (_, _, trace_b, met_b) = results
-        max_dy = float(abs(trace_a.y - trace_b.y).max())
-        out.write("comparison (first/second):\n")
-        out.write(
-            f"  initial_control ratio: {fmt(met_a.initial_control / met_b.initial_control)}\n"
-        )
-        out.write(f"  peak_control ratio: {fmt(met_a.peak_control / met_b.peak_control)}\n")
-        out.write(f"  max_output_difference: {fmt(max_dy)}\n")
+        out.write(_render([("comparison (first/second)", [
+            ("initial_control ratio", met_a.initial_control / met_b.initial_control),
+            ("peak_control ratio", met_a.peak_control / met_b.peak_control),
+            ("max_output_difference", float(abs(trace_a.y - trace_b.y).max())),
+        ])]))
     return EXIT_OK
 
 
@@ -558,14 +552,12 @@ def _cmd_inverse(args: argparse.Namespace, out) -> int:
     plant = _require_plant(cfg)
     gains = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     pkg = riccati_package(plant, gains, cfg.r)
-    lines = [
-        f"plant: k={fmt(plant.k)} zeta_ol={fmt(plant.zeta_ol)} "
-        f"omega_n_ol={fmt(plant.omega_n_ol)}",
-        f"gains: {_fmt_gains(gains)}",
-        *_riccati_lines("inverse", pkg),
-        f"care residual: {fmt(pkg.care_residual)}",
-    ]
-    text = "\n".join(lines) + "\n"
+    text = _render([
+        ("plant", plant),
+        ("gains", gains),
+        *_riccati_entries("inverse", pkg),
+        ("care residual", pkg.care_residual),
+    ])
     out.write(text)
     if cfg.out is not None:
         _write_text(cfg.out, text, out)

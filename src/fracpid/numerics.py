@@ -77,9 +77,6 @@ class RootTriple:
         pair.sort(key=lambda r: r.imag)
         return pair[0], pair[1]
 
-    def real_roots(self) -> list[float]:
-        return [r.real for r in self.roots if r.imag == 0.0]
-
 
 @dataclass(frozen=True)
 class Sym3:

@@ -4,9 +4,11 @@ import io
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,14 @@ from fracpid import (
     DominanceWarning,
     Plant,
     ResponseMetrics,
+    TargetUnreachable,
     Trace,
+    closed_loop_poles,
     default_scenario,
     mcurve,
     metrics,
     place_gains,
+    riccati_package,
     simulate_closed_loop,
     two_stage_tune,
     w_zeros,
@@ -525,6 +530,17 @@ def test_negative_gain_list_after_a_space_reads_as_after_equals(argv, capsys):
     assert with_space[0][0] == (0 if argv[0] == "mcurve" else 3)
 
 
+@pytest.mark.parametrize("flag", ["--gains", "--gains2"])
+@pytest.mark.parametrize(
+    "raw, message",
+    [("1,2", "expects kp,ki,kd; got '1,2'"), ("1,x,2", "values are not numbers: '1,x,2'")],
+)
+def test_bad_gain_list_is_reported_under_its_own_flag(flag, raw, message, capsys):
+    argv = ["simulate", "--preset", "p1", "--gains", "65,285,6", flag, raw]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} {message}\n"
+
+
 def test_unknown_preset_exits_2(capsys):
     code, _ = run_cli(["place", "--preset", "nope"])
     assert code == 2
@@ -657,6 +673,139 @@ def ref_metrics_lines(label, m):
     ]
 
 
+def ref_plant(plant):
+    return f"k={ref_fmt(plant.k)} zeta_ol={ref_fmt(plant.zeta_ol)} omega_n_ol={ref_fmt(plant.omega_n_ol)}"
+
+
+def ref_target(target):
+    return (
+        f"zeta_cl={ref_fmt(target.zeta_cl)} omega_n_cl={ref_fmt(target.omega_n_cl)} "
+        f"m={ref_fmt(target.m)}"
+    )
+
+
+def ref_gains(g):
+    return f"kp={ref_fmt(g.kp)} ki={ref_fmt(g.ki)} kd={ref_fmt(g.kd)}"
+
+
+def ref_riccati_lines(label, pkg):
+    q, p = pkg.q_diag, pkg.p
+    return [
+        f"weights ({label}): q1={ref_fmt(q[0])} q2={ref_fmt(q[1])} q3={ref_fmt(q[2])} "
+        f"r={ref_fmt(pkg.r)}",
+        f"riccati p ({label}): p11={ref_fmt(p.a11)} p12={ref_fmt(p.a12)} p13={ref_fmt(p.a13)} "
+        f"p22={ref_fmt(p.a22)} p23={ref_fmt(p.a23)} p33={ref_fmt(p.a33)}",
+    ]
+
+
+def ref_place(plant, target, warning_lines=()):
+    gains = place_gains(plant, target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DominanceWarning)
+        report = closed_loop_poles(plant, gains)
+    poles = ", ".join(
+        f"{ref_fmt(s.real)}{'-' if s.imag < 0 else '+'}{ref_fmt(abs(s.imag))}j"
+        for s in report.roots.roots
+    )
+    lines = [
+        f"plant: {ref_plant(plant)}",
+        f"target: {ref_target(target)}",
+        f"gains: {ref_gains(gains)}",
+        f"poles: {poles}",
+        f"dominant: zeta={ref_fmt(report.dominant_zeta)} omega_n={ref_fmt(report.dominant_omega_n)}",
+        f"real pole: {ref_fmt(report.real_pole)}",
+        f"dominance ratio: {ref_fmt(report.dominance_ratio)}",
+        *warning_lines,
+    ]
+    return 0, "\n".join(lines) + "\n"
+
+
+def ref_inverse(plant, target, r):
+    gains = place_gains(plant, target)
+    pkg = riccati_package(plant, gains, r)
+    lines = [
+        f"plant: {ref_plant(plant)}",
+        f"gains: {ref_gains(gains)}",
+        *ref_riccati_lines("inverse", pkg),
+        f"care residual: {ref_fmt(pkg.care_residual)}",
+    ]
+    return 0, "\n".join(lines) + "\n"
+
+
+def ref_tune(plant, target, desired, r):
+    try:
+        rep = two_stage_tune(plant, target, desired, r=r)
+    except TargetUnreachable:
+        return 4, ""
+    lines = [
+        f"plant: {ref_plant(plant)}",
+        f"stage 1 target: {ref_target(target)}",
+        f"stage-1 gains: {ref_gains(rep.stage1_gains)}",
+        f"desired zeta: {ref_fmt(desired)}",
+        f"chosen q: {ref_fmt(rep.chosen_q)}",
+        f"achieved: zeta={ref_fmt(rep.achieved_zeta)} omega_n={ref_fmt(rep.achieved_omega_n)}",
+        f"suboptimal gains: {ref_gains(rep.suboptimal_gains)}",
+        f"single-stage gains: {ref_gains(rep.single_stage_gains)}",
+        *ref_riccati_lines("single-stage", rep.riccati_lqr),
+        *ref_riccati_lines("suboptimal", rep.riccati_subopt),
+        "delta-p eigenvalues: " + " ".join(ref_fmt(e) for e in rep.delta_p_eigs),
+        f"cost verdict: {rep.cost_verdict}",
+        f"initial control (single-stage): {ref_fmt(rep.initial_control_lqr)}",
+        f"initial control (suboptimal): {ref_fmt(rep.initial_control_subopt)}",
+    ]
+    return 0, "\n".join(lines) + "\n"
+
+
+def _warned(fn, *args):
+    # what fn returns, and the messages of the warnings it gave
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, [str(w.message) for w in caught]
+
+
+def _write_design(path, plant, target, desired, r):
+    path.write_text(
+        f"[plant]\nk = {plant.k!r}\nzeta_ol = {plant.zeta_ol!r}\nomega_n_ol = {plant.omega_n_ol!r}\n"
+        f"[target]\nzeta_cl = {target.zeta_cl!r}\nomega_n_cl = {target.omega_n_cl!r}\n"
+        f"m = {target.m!r}\n[tune]\ndesired_zeta = {desired!r}\nr = {r!r}\n"
+    )
+    return str(path)
+
+
+def _random_design(rng):
+    # the ranges of the benchmark's design sweep: every gain positive and the
+    # dominance ratio near m, so place never warns
+    loguniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))  # noqa: E731
+    plant = Plant(loguniform(0.5, 50.0), loguniform(0.05, 5.0), loguniform(0.1, 20.0))
+    zc = rng.uniform(0.5, 0.8)
+    wc = plant.omega_n_ol * max(1.0, plant.zeta_ol) * rng.uniform(2.5, 5.0)
+    target = ClosedLoopTarget(zc, wc, rng.uniform(6.0, 12.0))
+    return plant, target, zc + (1.0 - zc) * rng.uniform(0.3, 0.75), loguniform(0.5, 2.0)
+
+
+def test_reports_of_random_designs_match_reference(tmp_path):
+    # stdout and the warnings Python is left to print, against the library
+    rng = random.Random(16)
+    tune_codes = []
+    for i in range(40):
+        plant, target, desired, r = _random_design(rng)
+        path = _write_design(tmp_path / f"d{i}.ini", plant, target, desired, r)
+        assert run_cli(["place", "--config", path]) == ref_place(plant, target)
+        assert _warned(run_cli, ["inverse", "--config", path]) == _warned(ref_inverse, plant, target, r)
+        tune = _warned(run_cli, ["tune", "--config", path])
+        assert tune == _warned(ref_tune, plant, target, desired, r)
+        tune_codes.append(tune[0][0])
+    assert tune_codes.count(0) >= 30
+
+
+def test_place_weak_dominance_warning_line(tmp_path):
+    plant, target = Plant(9.0, 0.2, 3.0), ClosedLoopTarget(0.75, 7.0, 2.5)
+    path = _write_design(tmp_path / "weak.ini", plant, target, 0.93, 1.0)
+    warning = "warning: relative dominance 2.5 is below 3; second-order behaviour is not guaranteed"
+    assert run_cli(["place", "--config", path]) == ref_place(plant, target, [warning])
+
+
 def _preset(name):
     return Plant(*PRESETS[name]["plant"]), ClosedLoopTarget(*PRESETS[name]["target"])
 
@@ -675,7 +824,8 @@ def test_trace_csv_and_metrics_match_reference(name, disturb):
     trace = simulate_closed_loop(plant, gains, scenario)
     assert cli._trace_csv(trace) == ref_trace_csv(trace)
     m = metrics(trace, gains, scenario)
-    assert cli._metrics_lines(name, m) == ref_metrics_lines(name, m)
+    block = cli._render([(f"metrics ({name})", cli._fields(m))])
+    assert block == "\n".join(ref_metrics_lines(name, m)) + "\n"
 
 
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308,
@@ -782,7 +932,8 @@ def test_simulate_compare_disturbed_prints_the_library_traces():
 
 def test_metrics_lines_unsettled_match_reference():
     m = ResponseMetrics(12.5, 0.25, math.nan, -3.0, -0.0, 1e-300, math.inf, False)
-    assert cli._metrics_lines("x", m) == ref_metrics_lines("x", m)
+    block = cli._render([("metrics (x)", cli._fields(m))])
+    assert block == "\n".join(ref_metrics_lines("x", m)) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
