@@ -508,11 +508,19 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         disturbance_time=cfg.disturbance_time,
         **sized,
     )
-    # every controller is simulated, and may fail, before anything is written
+    # every controller is simulated and compared, and may fail, before anything is written
     results = []
     for label, gains in controllers:
         trace = simulate_closed_loop(plant, gains, scenario)
         results.append((label, gains, trace, metrics(trace, gains, scenario)))
+    comparison = []
+    if len(results) == 2:
+        (_, _, trace_a, met_a), (_, _, trace_b, met_b) = results
+        for name in ("initial_control", "peak_control"):
+            if getattr(met_b, name) == 0.0:
+                raise ConfigError(f"{name} ratio is undefined: the second controller's {name} is 0")
+            comparison.append((f"{name} ratio", getattr(met_a, name) / getattr(met_b, name)))
+        comparison.append(("max_output_difference", float(abs(trace_a.y - trace_b.y).max())))
 
     disturbance = scenario.disturbance_amplitude
     if disturbance != 0.0:
@@ -538,12 +546,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
                 out.write(_trace_csv(trace))
             else:
                 _write_text(path, _trace_csv(trace), out)
-        (_, _, trace_a, met_a), (_, _, trace_b, met_b) = results
-        out.write(_render([("comparison (first/second)", [
-            ("initial_control ratio", met_a.initial_control / met_b.initial_control),
-            ("peak_control ratio", met_a.peak_control / met_b.peak_control),
-            ("max_output_difference", float(abs(trace_a.y - trace_b.y).max())),
-        ])]))
+        out.write(_render([("comparison (first/second)", comparison)]))
     return EXIT_OK
 
 

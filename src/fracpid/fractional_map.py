@@ -94,18 +94,20 @@ def w_zeros(gains: PidGains) -> WZeros:
 def classify_wedge(phi: float, q: float) -> WedgeClass:
     """Place a w-plane zero angle against the order-q stability wedge.
 
-    Boundaries are conservative: ``phi == pi*q/2`` counts as unstable and
-    ``phi == pi*q`` is labelled ultra-damped, so only strictly interior
-    angles qualify as under-damped.
+    The order is compared with ``edge = phi/pi``, the float that the
+    stage-2 grid ends on. Boundaries are conservative: ``q >= 2*edge``
+    counts as unstable and ``q == edge`` is labelled ultra-damped, so only
+    strictly interior orders, ``edge < q < 2*edge``, qualify as under-damped.
     """
     _check_q(q)
     if not 0.0 < phi <= math.pi:
         raise ValueError(f"phi={phi!r} outside (0, pi]")
-    if phi <= math.pi * q / 2.0:
+    edge = phi / math.pi
+    if q >= 2.0 * edge:
         return WedgeClass.UNSTABLE
-    if phi < math.pi * q:
+    if q > edge:
         return WedgeClass.UNDER_DAMPED
-    if phi == math.pi * q:
+    if q == edge:
         return WedgeClass.ULTRA_DAMPED
     return WedgeClass.HYPER_DAMPED
 

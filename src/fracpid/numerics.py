@@ -28,6 +28,7 @@ _THIRD = 1.0 / 3.0
 # solve_cubic rescales s unless the largest root's magnitude lies in about
 # 2**±64 (see _rescale_exponent)
 _SCALE_WINDOW = 64
+_SPREAD = 2.0**20  # a larger root spread retakes the smaller roots from the largest
 _RATIO_LO, _RATIO_HI = 2.0**-63, 2.0**63
 _NORMAL_MIN = 2.0**-1022  # below it a float carries fewer than 53 bits
 
@@ -225,33 +226,31 @@ def solve_cubic(c: Cubic) -> RootTriple:
     branch discriminant cancels, which matters when a conjugate pair
     collapses onto the real axis at the end of fractional-order sweeps.
 
-    When the largest root's magnitude lies outside about 2**±64, s is first
-    rescaled by a power of two (exact in binary) so the cubic is solved with
-    its largest root near 1. The smaller roots are then taken again from the
-    largest, so each keeps digits relative to its own magnitude: a largest
-    real root is divided out from the constant end, and under a largest
-    pair the real root is the product of the roots over the pair's. Cubics
-    inside that window are solved as given.
+    One rule holds for every cubic. The coefficients are scaled by a power
+    of two (exact in binary) that puts a3 in [1, 2); when the largest root's
+    magnitude lies outside about 2**±64, s is rescaled by one too, so that
+    root lies near 1. Where the largest root outweighs the smallest by more
+    than 2**20, the smaller roots are taken again from it, so each keeps
+    digits relative to its own magnitude: a largest real root is divided out
+    from the constant end, and under a largest pair the real root is the
+    product of the roots over the pair's.
 
-    Raises DegenerateLeadingCoefficient when the leading coefficient is
-    zero, when inside the window it is negligible against the largest one,
-    or when outside it the roots span more than the float range: a root lies
-    beyond it, or rescaling pushes a nonzero a1 or a0 below the normal floats.
+    Raises DegenerateLeadingCoefficient only when the leading coefficient
+    is zero, when the roots span more than the float range (a nonzero a1 or
+    a0 scales below the normal floats), or when a root lies beyond it.
     """
     return RootTriple(_cubic_roots(c.a3, c.a2, c.a1, c.a0))
 
 
 def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, complex, complex]:
     # solve_cubic on bare coefficients: the sorted root tuple
-    scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
-    e = _rescale_exponent(a3, a2, a1, a0, scale)
-    if not e:
-        if a3 == 0.0 or abs(a3) <= 1e-14 * scale:
-            raise DegenerateLeadingCoefficient(f"leading coefficient {a3!r} is negligible against {scale!r}")
-    else:
-        # solve for t = s / 2**e, with the leading coefficient in [0.5, 1)
+    e = _rescale_exponent(a3, a2, a1, a0, max(abs(a3), abs(a2), abs(a1), abs(a0)))
+    if e or not 1.0 <= a3 < 2.0:
+        if a3 == 0.0:
+            raise DegenerateLeadingCoefficient(f"leading coefficient {a3!r} is zero")
+        # solve for t = s / 2**e, with the leading coefficient in [1, 2)
         given = a3, a1, a0  # for the checks and messages below
-        lead = -math.frexp(a3)[1]
+        lead = 1 - math.frexp(a3)[1]
         a3, a2, a1, a0 = (math.ldexp(a, lead - k * e) for k, a in enumerate((a3, a2, a1, a0)))
         # the smaller roots are taken from a1 and a0
         if (given[1] and abs(a1) < _NORMAL_MIN) or (given[2] and abs(a0) < _NORMAL_MIN):
@@ -287,16 +286,17 @@ def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, c
                 anchor = t2
         anchor = _polish_real(a3, a2, a1, a0, anchor)
         lo, hi = _deflated_pair(a3, a2, a1, a0, anchor)
-        if e:
-            # rounding so far scales with the largest root: take the smaller
-            # ones again from it
-            if lo.imag == 0.0:
-                anchor = max(anchor, lo.real, hi.real, key=abs)
+        # rounding so far scales with the largest root: where it outweighs the
+        # smallest by more than _SPREAD, take the smaller ones again from it
+        ma, ml, mh = abs(anchor), abs(lo), abs(hi)
+        if lo.imag == 0.0:  # a real pair comes larger root first
+            if (ma if ma > ml else ml) > _SPREAD * (ma if ma < mh else mh):  # max, min without calls
+                anchor = anchor if ma >= ml else lo.real
                 lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
-            elif abs(anchor) < abs(hi):
-                anchor = -a0 / (a3 * (hi.real * hi.real + hi.imag * hi.imag))
-            else:
-                lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
+        elif _SPREAD * ma < mh:
+            anchor = -a0 / (a3 * (hi.real * hi.real + hi.imag * hi.imag))
+        elif ma > _SPREAD * mh:
+            lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
         real = complex(anchor, 0.0)
         if lo.imag == 0.0:
             roots = sorted((real, lo, hi), key=lambda z: (abs(z.real), z.imag))

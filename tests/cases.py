@@ -8,8 +8,10 @@ and weights of both designs. The oscillatory plant carries the published
 high/low-damping Riccati pairs used for the cost-comparison regressions.
 """
 
+import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from fracpid import ClosedLoopTarget, PidGains, Plant
@@ -120,3 +122,50 @@ def gains_tuple(g: PidGains) -> tuple[float, float, float]:
 def p_rows(p) -> tuple[float, ...]:
     """Sym3 entries ordered like the published tables."""
     return (p.a11, p.a12, p.a13, p.a22, p.a23, p.a33)
+
+
+def true_cubic_roots(coeffs) -> list[tuple[complex, float]]:
+    """Each root of ``a3 s^3 + a2 s^2 + a1 s + a0`` to ~30 digits of its own
+    magnitude, with its condition number kappa = sum |ak| |r|**k / (|r| |f'(r)|).
+
+    Exact zero roots are divided out first; a simple one has kappa 1. The
+    rest come from the closed forms (quadratic formula, Cardano) in mpmath
+    and three Newton steps, at a precision that grows with the span of the
+    coefficients, which bounds how far the smallest root lies below the
+    largest, so cancellation cannot reach the digits kept.
+    """
+    a3, a2, a1, a0 = coeffs = [float(c) for c in coeffs]
+    head = list(coeffs)
+    while head[-1] == 0.0:
+        head.pop()
+    zeros = 4 - len(head)
+    roots = [(0j, 1.0 if zeros == 1 else math.inf)] * zeros
+    span = max(map(abs, head)) / min(abs(x) for x in head if x)
+    with mpmath.workdps(60 + 2 * int(math.log10(span))):
+        c = [mpmath.mpf(x) / head[0] for x in head[1:]]
+        if len(c) == 1:
+            found = [-c[0]]
+        elif len(c) == 2:
+            d = mpmath.sqrt(c[0] ** 2 - 4 * c[1])
+            found = [(-c[0] + d) / 2, (-c[0] - d) / 2]
+        elif len(c) == 3:
+            b = c[0]
+            p = c[1] - b * b / 3
+            q = 2 * b**3 / 27 - b * c[1] / 3 + c[2]
+            d = mpmath.sqrt(q * q / 4 + p**3 / 27)
+            u = max(-q / 2 + d, -q / 2 - d, key=abs)
+            w = mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)
+            found = [-b / 3] * 3 if u == 0 else [
+                mpmath.cbrt(u) * w**k - p / (3 * mpmath.cbrt(u) * w**k) - b / 3 for k in range(3)
+            ]
+        else:
+            found = []
+        for r in found:
+            for _ in range(3):
+                slope = (3 * a3 * r + 2 * a2) * r + a1
+                if slope:
+                    r -= (((a3 * r + a2) * r + a1) * r + a0) / slope
+            slope = abs((3 * a3 * r + 2 * a2) * r + a1)
+            size = ((abs(a3) * abs(r) + abs(a2)) * abs(r) + abs(a1)) * abs(r) + abs(a0)
+            roots.append((complex(r), float(size / (abs(r) * slope)) if slope else math.inf))
+    return roots

@@ -421,6 +421,19 @@ def test_simulate_unstable_second_controller_writes_nothing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("first", ["0,1,1", "1,1,1"])
+def test_simulate_comparison_with_no_initial_control_in_the_second_exits_2(first, tmp_path, capsys):
+    # kp = 0 gives the second controller no initial control effort, so the
+    # initial_control ratio is undefined whatever the first one's is
+    base = ["simulate", "--preset", "p1", "--gains", first, "--gains2", "0,1,2", "--t-end", "0.01"]
+    assert run_cli(base) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: initial_control ratio is undefined: the second controller's initial_control is 0\n"
+    )
+    assert run_cli(base + ["--out", str(tmp_path / "t.csv")]) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_weak_dominance_warns_once():
     with pytest.warns(DominanceWarning) as record:
         code, _ = run_cli(["simulate", "--preset", "p1", "--gains", "100,10,1"])

@@ -247,15 +247,7 @@ def test_equivalent_pid_is_the_identity_at_unit_order_for_any_gains(case):
 def test_equivalent_pid_rejects_both_wedge_boundaries(case):
     gains, _ = case
     phi = w_zeros(gains).phi
-    lower, upper = phi / math.pi, 2.0 * phi / math.pi
-    # classify_wedge compares phi with the rounded pi*q, which for ~7 % of
-    # angles puts the float phi/pi (or 2 phi/pi) one ulp inside the wedge;
-    # one ulp further out is the boundary as the classifier reads it
-    if math.pi * lower > phi:
-        lower = math.nextafter(lower, 0.0)
-    if math.pi * upper / 2.0 < phi:
-        upper = math.nextafter(upper, 2.0)
-    for q in (lower, upper):
+    for q in (phi / math.pi, 2.0 * phi / math.pi):
         with pytest.raises(OutsideWedge):
             equivalent_pid(gains, q)
 

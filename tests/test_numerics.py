@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from fracpid import (
 )
 
 from fracpid import numerics
-from cases import P_HIGH_PUBLISHED, P_LOW_PUBLISHED, DELTA_EIGS_ORACLE
+from cases import P_HIGH_PUBLISHED, P_LOW_PUBLISHED, DELTA_EIGS_ORACLE, true_cubic_roots
 from frozen_solver import FrozenDegenerate, frozen_solve_cubic
 
 
@@ -71,10 +72,13 @@ def test_cubic_residual_bound():
 
 
 def test_cubic_degenerate_leading_coefficient():
-    with pytest.raises(DegenerateLeadingCoefficient):
-        solve_cubic(Cubic(1e-16, 1.0, 2.0, 3.0))
-    with pytest.raises(DegenerateLeadingCoefficient):
+    with pytest.raises(DegenerateLeadingCoefficient, match="is zero"):
         solve_cubic(Cubic(0.0, 1.0, 2.0, 3.0))
+    # a small leading coefficient is a large root, not a degenerate cubic:
+    # -1 +- 1.414j beside a root near -1e16
+    got = solve_cubic(Cubic(1e-16, 1.0, 2.0, 3.0)).roots
+    for t, _ in true_cubic_roots((1e-16, 1.0, 2.0, 3.0)):
+        assert min(abs(g - t) for g in got) <= 1e-14 * abs(t)
 
 
 def test_cubic_sorting_and_conjugate_pairing():
@@ -210,11 +214,42 @@ def _window_cubics(draw):
     return [float(x) for x in np.real(np.poly(roots)) * scale]
 
 
-def _outcome(solve, coeffs):
-    try:
-        return tuple(solve(*coeffs))
-    except (DegenerateLeadingCoefficient, FrozenDegenerate):
-        return "degenerate"
+def _spread(roots):
+    # the largest root's magnitude over the smallest's
+    big, small = max(map(abs, roots)), min(map(abs, roots))
+    return big / small if small else math.inf if big else 1.0
+
+
+def _assert_normwise(coeffs, got):
+    # every root within 1e-6 of the largest one's magnitude of a root of the
+    # companion matrix, and every root of it as close to one of ours
+    want = np.roots(coeffs)
+    tol = 1e-6 * max(abs(want))
+    for g in got:
+        assert min(abs(g - want)) <= tol, (coeffs, got, want)
+    for w in want:
+        assert min(abs(g - w) for g in got) <= tol, (coeffs, got, want)
+
+
+def _assert_own_digits(coeffs, got):
+    """Each root an exact root of a cubic within 1e-12 of the given one,
+    coefficient by coefficient; and where a true root's condition number is
+    at most 1e6, it and our nearest root lie within 1e-6 of its magnitude.
+
+    A cluster of roots is too ill-conditioned for a forward bound: for
+    (s + 1e5)^2 (s + 100010), whose roots all have condition numbers above
+    8e8, numpy's roots are 7e-7 of their magnitude off."""
+    true = true_cubic_roots(coeffs)
+    with mpmath.workdps(40):
+        for g in got:
+            z = mpmath.mpc(g.real, g.imag)
+            residual = abs(sum(mpmath.mpf(a) * z ** (3 - k) for k, a in enumerate(coeffs)))
+            size = sum(abs(a) * abs(z) ** (3 - k) for k, a in enumerate(coeffs))
+            assert residual <= 1e-12 * size, (coeffs, got)
+            t, kappa = min(true, key=lambda tk: abs(g - tk[0]))
+            assert kappa > 1e6 or abs(g - t) <= 1e-6 * abs(t), (coeffs, got, true)
+    for t, kappa in true:
+        assert kappa > 1e6 or min(abs(g - t) for g in got) <= 1e-6 * abs(t), (coeffs, got, true)
 
 
 @settings(max_examples=400, deadline=None)
@@ -223,13 +258,24 @@ def _outcome(solve, coeffs):
 @example([1.0, 10.0, 29.0, 100.0])  # a conjugate pair: Cardano branch
 @example([1.0, -3.0, 3.0, -1.0])  # exact triple root
 @example(list(np.real(np.poly([-68.01146110603337, -68.01146720847196, -576.7387269287435]))))
-@example([1e-16, 1.0, 2.0, 3.0])  # negligible leading coefficient
+@example([1e-16, 1.0, 2.0, 3.0])  # the frozen solver's "negligible" leading coefficient
 @example([1.0, 3.0, 3.0, 1e-200])  # roots of very different size: the largest
 @example([1.0, 1.0, 1.0, 1e-300])  # root sets the scale, so these stay unscaled
+@example([-1.0, -300010.0, -3.0002e10, -1.0001e15])  # -(s + 1e5)^2 (s + 100010)
 def test_cubic_inside_the_window_is_bit_identical_to_the_frozen_solver(coeffs):
+    # bit for bit where the frozen solver solves and the roots span at most
+    # 2**20; beyond that the smaller roots are taken again from the largest,
+    # and each keeps the digits of its own magnitude
     assert numerics._rescale_exponent(*coeffs, max(map(abs, coeffs))) == 0
-    new = _outcome(lambda *c: solve_cubic(Cubic(*c)).roots, coeffs)
-    assert new == _outcome(frozen_solve_cubic, coeffs)
+    got = solve_cubic(Cubic(*coeffs)).roots
+    try:
+        frozen = frozen_solve_cubic(*coeffs)
+    except FrozenDegenerate:
+        frozen = None
+    if frozen is not None and _spread(frozen) <= 2.0**20:
+        assert got == frozen
+    else:
+        _assert_own_digits(coeffs, got)
 
 
 _HOSTILE = _signed(_magnitude(-150, 150))
@@ -273,17 +319,11 @@ def test_cubic_hostile_scales_keep_every_root_to_its_own_digits(coeffs):
             frozen_solve_cubic(*coeffs)
         return
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in got)
-    # normwise, against the companion matrix
-    want = np.roots(coeffs)
-    tol = 1e-6 * max(abs(want))
-    for g in got:
-        assert min(abs(g - want)) <= tol, (coeffs, got, want)
-    for w in want:
-        assert min(abs(g - w) for g in got) <= tol, (coeffs, got, want)
-    if numerics._rescale_exponent(*coeffs, max(map(abs, coeffs))) == 0:
-        return  # solved as given: the frozen solver's bits
-    # rescaled: each root within 1e-6 of its own magnitude, down to the
-    # normal floats, and together they are the cubic's three roots
+    _assert_normwise(coeffs, got)
+    if numerics._rescale_exponent(*coeffs, max(map(abs, coeffs))) == 0 and _spread(got) <= 2.0**20:
+        return  # neither rescaled nor retaken: the frozen solver's bits
+    # each root within 1e-6 of its own magnitude, down to the normal floats,
+    # and together they are the cubic's three roots
     for g in got:
         assert _near_a_root(coeffs, g, Fraction(1, 10**6), Fraction(2) ** -1022), (coeffs, got)
     a3, a0 = Fraction(coeffs[0]), Fraction(coeffs[3])
@@ -318,13 +358,26 @@ def test_cubic_outside_the_window_keeps_its_small_roots():
     assert hi == lo.conjugate()
     with pytest.raises(FrozenDegenerate):
         frozen_solve_cubic(1.0, 1e20, 1.0, 1.0)
-    # inside the window the old guard still decides
-    with pytest.raises(DegenerateLeadingCoefficient, match="negligible against"):
-        solve_cubic(Cubic(1.0, 1e15, 1.0, 1.0))
+    # inside the window the same rule holds: a pair near -5e-16 +- 3.16e-8j
+    # beside a root near -1e15, which the frozen solver gave up on too
+    lo, hi, big = solve_cubic(Cubic(1.0, 1e15, 1.0, 1.0)).roots
+    assert big == pytest.approx(-1e15, rel=1e-15)
+    assert lo.real == pytest.approx(-5e-16, rel=1e-9) and lo.imag == pytest.approx(-3.1622776601683795e-8, rel=1e-12)
+    assert hi == lo.conjugate()
+    with pytest.raises(FrozenDegenerate):
+        frozen_solve_cubic(1.0, 1e15, 1.0, 1.0)
     # a pair near -0.5 +- 0.87j beside a root near -1e300: rescaled by 2**997,
     # a0 falls below the floats
     with pytest.raises(DegenerateLeadingCoefficient, match="span more than the float range"):
         solve_cubic(Cubic(1.0, 1e300, 1e300, 1e300))
+    # inside the window, coefficients near 1e237 are scaled to a3 in [1, 2)
+    # first, so no square in the deflation overflows: roots near +-1.07e4 and
+    # -1.5e-193, each to its own digits
+    coeffs = (3.9428103264534904e229, -2.2222213520242053e-48, -4.5080465070278544e237, -6.876338230204625e44)
+    assert numerics._rescale_exponent(*coeffs, max(map(abs, coeffs))) == 0
+    got = solve_cubic(Cubic(*coeffs)).roots
+    for t, _ in true_cubic_roots(coeffs):
+        assert min(abs(g - t) for g in got) <= 1e-12 * abs(t)
     # a root near -1e600 cannot be returned
     with pytest.raises(DegenerateLeadingCoefficient, match="beyond the float range"):
         solve_cubic(Cubic(1e-300, 1e300, 0.0, 0.0))

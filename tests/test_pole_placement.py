@@ -26,7 +26,7 @@ from fracpid import (
     solve_cubic,
 )
 
-from cases import OSCILLATORY, gains_tuple, max_rel_err
+from cases import OSCILLATORY, gains_tuple, max_rel_err, true_cubic_roots
 from frozen_solver import frozen_dominant_reading, frozen_solve_cubic
 
 
@@ -180,6 +180,21 @@ def test_closed_loop_poles_under_a_huge_derivative_gain():
     assert rep.real_pole == pytest.approx(-real, rel=1e-12)
     assert rep.dominant_omega_n == pytest.approx(math.sqrt(g), rel=1e-12)
     assert rep.dominant_zeta == pytest.approx(b / (2.0 * math.sqrt(g)), rel=1e-9)
+
+
+@pytest.mark.parametrize("kd", [1e6, 1e8, 1e10, 1e13])
+def test_closed_loop_poles_under_a_large_derivative_gain_inside_the_window(kd):
+    # the real pole near -9 kd outweighs the dominant pair near 1/sqrt(kd)
+    # more than 2**20 times, inside the unscaled window: the pair is taken
+    # again from the real pole and keeps its own digits
+    plant, gains = Plant(9.0, 0.2, 3.0), PidGains(1.0, 1.0, kd)
+    rep = closed_loop_poles(plant, gains)
+    true = [t for t, _ in true_cubic_roots(closed_loop_characteristic(plant, gains).coefficients())]
+    real = min(true, key=lambda t: abs(t.imag))
+    upper = max(true, key=lambda t: t.imag)
+    assert rep.real_pole == pytest.approx(real.real, rel=1e-12)
+    assert rep.dominant_omega_n == pytest.approx(abs(upper), rel=1e-9)
+    assert rep.dominant_zeta == pytest.approx(-upper.real / abs(upper), rel=1e-9)
 
 
 def test_roundtrip_property_random_designs():
