@@ -7,8 +7,9 @@ override both.
 Unknown sections or keys are hard errors so regression fixtures stay exact.
 All numeric output uses 6 significant digits and is byte-deterministic.
 
-Exit codes: 0 success, 2 config or precondition error, 3 unstable loop,
-4 unreachable damping target.
+Every command writes each distinct warning once to stderr as
+``warning: <message>``, before any ``error:`` line. Exit codes: 0 success,
+2 config or precondition error, 3 unstable loop, 4 unreachable damping target.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .lqr_inverse import UnstableGains, riccati_package, RiccatiPackage
 from .numerics import NonFiniteState
 from .pole_placement import (
     ClosedLoopTarget,
-    DominanceWarning,
     PidGains,
     Plant,
     UnstableClosedLoop,
@@ -339,10 +339,8 @@ def _cmd_place(args: argparse.Namespace, out) -> int:
     cfg = resolve_config(args)
     plant = _require_plant(cfg)
     target = _require_target(cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        gains = place_gains(plant, target)
-        report = closed_loop_poles(plant, gains)
+    gains = place_gains(plant, target)
+    report = closed_loop_poles(plant, gains)
     poles = ", ".join(
         f"{fmt(r.real)}{'+' if r.imag >= 0 else '-'}{fmt(abs(r.imag))}j"
         for r in report.roots.roots
@@ -355,7 +353,6 @@ def _cmd_place(args: argparse.Namespace, out) -> int:
         ("dominant", {"zeta": report.dominant_zeta, "omega_n": report.dominant_omega_n}),
         ("real pole", report.real_pole),
         ("dominance ratio", report.dominance_ratio),
-        *(("warning", str(item.message)) for item in caught),
     ]))
     return EXIT_OK
 
@@ -484,10 +481,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         controllers = [("a", cfg.gains)]
         if cfg.gains2 is not None:
             controllers.append(("b", cfg.gains2))
-        with warnings.catch_warnings():
-            # simulate_closed_loop warns for each controller below
-            warnings.simplefilter("ignore", DominanceWarning)
-            rep = closed_loop_poles(plant, cfg.gains)
+        rep = closed_loop_poles(plant, cfg.gains)
         zeta_scale, omega_scale = rep.dominant_zeta, rep.dominant_omega_n
     else:
         target = _require_target(cfg)
@@ -643,18 +637,26 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if argv[i - 1] in ("--gains", "--gains2") and argv[i][:1] == "-" and "," in argv[i]:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
-    try:
-        _q_flags_valid(args)
-        return _COMMANDS[args.command](args, out)
-    except (UnstableClosedLoop, UnstableGains, NonFiniteState, RealZeros, OutsideWedge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except TargetUnreachable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    error = None
+    # every warning of the command, each distinct message once, in the order
+    # raised, then the error if it failed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            _q_flags_valid(args)
+            code = _COMMANDS[args.command](args, out)
+        except (UnstableClosedLoop, UnstableGains, NonFiniteState, RealZeros, OutsideWedge) as exc:
+            code, error = EXIT_UNSTABLE, exc
+        except TargetUnreachable as exc:
+            code, error = EXIT_UNREACHABLE, exc
+        except (ConfigError, ValueError) as exc:
+            code, error = EXIT_CONFIG, exc
+        finally:
+            for message in dict.fromkeys(str(item.message) for item in caught):
+                print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def _q_flags_valid(args: argparse.Namespace) -> None:

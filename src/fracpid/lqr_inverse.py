@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from .numerics import Sym3, eig_sym3
 from .pole_placement import (
     ClosedLoopTarget,
-    DominanceWarning,
     PidGains,
     Plant,
     UnstableClosedLoop,
     _placement_shift,
-    closed_loop_poles,
+    _stable_poles,
 )
 
 __all__ = [
@@ -108,13 +107,10 @@ def p_from_gains(plant: Plant, gains: PidGains, r: float = 1.0) -> Sym3:
     """
     if not 0.0 < r < math.inf:
         raise ValueError("r must be positive")
-    with warnings.catch_warnings():
-        # only the Hurwitz check matters here, not dominance quality
-        warnings.simplefilter("ignore", DominanceWarning)
-        try:
-            closed_loop_poles(plant, gains)
-        except UnstableClosedLoop as exc:
-            raise UnstableGains(str(exc)) from exc
+    try:
+        _stable_poles(plant, gains)  # the Hurwitz check, not dominance quality
+    except UnstableClosedLoop as exc:
+        raise UnstableGains(str(exc)) from exc
 
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
     g = k * k / r

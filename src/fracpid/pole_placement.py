@@ -13,19 +13,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .numerics import Cubic, RootTriple, solve_cubic
-
-if TYPE_CHECKING:
-    from .simulate import ResponseMetrics, ScenarioSpec
 
 __all__ = [
     "Plant",
     "ClosedLoopTarget",
     "PidGains",
     "PoleReport",
-    "MStudyRecord",
     "NonPositiveGain",
     "DominanceWarning",
     "UnstableClosedLoop",
@@ -33,7 +28,6 @@ __all__ = [
     "desired_characteristic",
     "closed_loop_characteristic",
     "closed_loop_poles",
-    "m_study",
 ]
 
 # relative dominance below this is too weak for second-order-like behaviour
@@ -119,15 +113,6 @@ class PoleReport:
     dominance_ratio: float
 
 
-@dataclass
-class MStudyRecord:
-    """One relative-dominance sample: gains plus step-response metrics."""
-
-    m: float
-    gains: PidGains
-    metrics: ResponseMetrics
-
-
 def place_gains(plant: Plant, target: ClosedLoopTarget) -> PidGains:
     """Gains that place the dominant pair at the target and the real pole at
     ``-m * zeta_cl * omega_n_cl``.
@@ -198,6 +183,16 @@ def _dominant_reading(r0: complex, r1: complex, r2: complex) -> tuple[float, flo
     return 1.0, abs(r0.real), r1.real
 
 
+def _stable_poles(plant: Plant, gains: PidGains) -> tuple[RootTriple, tuple[float, float, float]]:
+    # the solved closed-loop roots and their (zeta, omega_n, real_pole);
+    # raises UnstableClosedLoop unless every root has a negative real part
+    triple = solve_cubic(closed_loop_characteristic(plant, gains))
+    reading = _dominant_reading(*triple.roots)
+    if reading is None:
+        raise UnstableClosedLoop(f"closed-loop poles {triple.roots} are not all in the left half plane")
+    return triple, reading
+
+
 def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
     """Solve the closed-loop cubic and report the dominant pole pattern.
 
@@ -205,12 +200,7 @@ def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
     DominanceWarning when the achieved dominance ratio falls below 3, the
     floor under which the real pole visibly distorts the response.
     """
-    triple = solve_cubic(closed_loop_characteristic(plant, gains))
-    reading = _dominant_reading(*triple.roots)
-    if reading is None:
-        raise UnstableClosedLoop(f"closed-loop poles {triple.roots} are not all in the left half plane")
-    zeta, omega, real_pole = reading
-
+    triple, (zeta, omega, real_pole) = _stable_poles(plant, gains)
     ratio = abs(real_pole) / (zeta * omega)
     if ratio < DOMINANCE_FLOOR:
         warnings.warn(
@@ -226,40 +216,3 @@ def closed_loop_poles(plant: Plant, gains: PidGains) -> PoleReport:
         real_pole=real_pole,
         dominance_ratio=ratio,
     )
-
-
-def m_study(
-    plant: Plant,
-    zeta_cl: float,
-    omega_n_cl: float,
-    m_values: list[float],
-    scenario: ScenarioSpec | None = None,
-) -> list[MStudyRecord]:
-    """Place gains and collect unit-step metrics for each relative dominance.
-
-    Records are returned in input order. With no scenario given, each run
-    uses the default horizon and step size for the requested target.
-
-    Under the simulator's set-point convention (derivative on the
-    measurement) the loop r -> y is ``k*(kp*s + ki) / char(s)``, so its zero
-    ``-ki/kp = -m*z*w**3 / (w**2*(1 + 2*m*z**2) - omega_n_ol**2)`` moves with
-    ``m`` towards ``-w/(2*z)``. The response therefore converges, as O(1/m)
-    and for any plant, to that of ``(2*z*w*s + w**2) / (s**2 + 2*z*w*s + w**2)``
-    rather than to the bare dominant pair. On the oscillatory benchmark
-    plant rise time has saturated by m = 10, while overshoot still closes
-    about half its remaining gap to the limit each time m doubles.
-    """
-    from . import simulate  # local import, simulate depends on this module
-
-    if any(m <= 0.0 for m in m_values):
-        raise ValueError("all m values must be positive")
-    records = []
-    for m in m_values:
-        target = ClosedLoopTarget(zeta_cl, omega_n_cl, m)
-        gains = place_gains(plant, target)
-        scn = scenario
-        if scn is None:
-            scn = simulate.default_scenario(plant, zeta_cl, omega_n_cl)
-        trace = simulate.simulate_closed_loop(plant, gains, scn)
-        records.append(MStudyRecord(m, gains, simulate.metrics(trace, gains, scn)))
-    return records

@@ -88,15 +88,16 @@ class TuningReport:
 def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
     """Inclusive descending grid from q_from down to q_to.
 
-    Empty when q_from < q_to. Grid values must stay inside (0, 2]; a grid
-    of more than MAX_Q_POINTS points raises ValueError before it is built.
+    Both ends must lie inside (0, 2], else ValueError; inside it the grid is
+    empty when q_from < q_to. A grid of more than MAX_Q_POINTS points raises
+    ValueError before it is built.
     """
     if not q_step > 0.0:
         raise ValueError("q_step must be positive")
-    if q_from < q_to:
-        return []
     if not (0.0 < q_to <= 2.0 and 0.0 < q_from <= 2.0):
         raise ValueError("q grid must lie inside (0, 2]")
+    if q_from < q_to:
+        return []
     steps = (q_from - q_to) / q_step + 1e-9
     if steps >= MAX_Q_POINTS:
         count = int(steps) + 1 if math.isfinite(steps) else steps

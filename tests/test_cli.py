@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config handling, CSV formats."""
 
+import contextlib
 import io
 import itertools
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from fracpid import (
     ClosedLoopTarget,
     DominanceWarning,
+    PidGains,
     Plant,
     ResponseMetrics,
     TargetUnreachable,
@@ -39,9 +41,17 @@ from fracpid.simulate import DISTURBANCE_FRACTION, MAX_SAMPLES
 from fracpid.tuner import MAX_Q_POINTS
 
 
-def run_cli(args):
-    out = io.StringIO()
-    code = main(args, out=out)
+def run_cli(args, warns=()):
+    """Exit code and stdout of main. Its stderr passes through to the
+    caller's capture; the `warning:` lines in it must be exactly ``warns``."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(args, out=out)
+    finally:
+        sys.stderr.write(err.getvalue())
+    lines = [line for line in err.getvalue().splitlines() if line.startswith("warning:")]
+    assert lines == [f"warning: {message}" for message in warns]
     return code, out.getvalue()
 
 
@@ -64,10 +74,10 @@ def test_place_low_dominance_warns(tmp_path):
         "[plant]\nk = 1\nzeta_ol = 0.2\nomega_n_ol = 0.1\n"
         "[target]\nzeta_cl = 0.98\nomega_n_cl = 2\nm = 1\n"
     )
-    code, text = run_cli(["place", "--config", str(config)])
+    warning = "relative dominance 1 is below 3; second-order behaviour is not guaranteed"
+    code, text = run_cli(["place", "--config", str(config)], warns=[warning])
     assert code == 0
-    assert "warning:" in text
-    assert "relative dominance" in text
+    assert "dominance ratio: 1\n" in text and "warning" not in text
 
 
 def test_place_malformed_config_exits_2(tmp_path, capsys):
@@ -270,8 +280,12 @@ def test_place_with_an_underflowing_integral_gain_exits_3(tmp_path, capsys):
         "[plant]\nk = 1\nzeta_ol = 0.5\nomega_n_ol = 1e-110\n"
         "[target]\nzeta_cl = 0.75\nomega_n_cl = 1e-110\nm = 10\n"
     )
-    assert run_cli(["place", "--config", str(config)]) == (3, "")
-    err = capsys.readouterr().err
+    # place_gains warns before the stability check fails; both are reported
+    _, warns = _warned(place_gains, Plant(1.0, 0.5, 1e-110), ClosedLoopTarget(0.75, 1e-110, 10.0))
+    assert warns[0].startswith("non-positive gain in PidGains(")
+    assert run_cli(["place", "--config", str(config)], warns=warns) == (3, "")
+    warning, err = capsys.readouterr().err.split("\n", 1)
+    assert warning == f"warning: {warns[0]}"
     prefix = "error: closed-loop poles ("
     assert err.startswith(prefix) and "left half plane" in err
     assert complex(err[len(prefix):].split(", ")[0].strip("()")) == 0.0  # of either sign
@@ -307,6 +321,13 @@ def test_mcurve_bad_grid_exits_2(capsys):
     assert code == 2
     code, _ = run_cli(["mcurve", "--preset", "p1", "--q-from", "2.5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("q_from, q_to", [("5", "6"), ("3", "1")])
+def test_mcurve_grid_outside_the_domain_exits_2_whatever_its_direction(q_from, q_to, capsys):
+    argv = ["mcurve", "--preset", "p1", "--q-from", q_from, "--q-to", q_to]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == "error: q grid must lie inside (0, 2]\n"
 
 
 @pytest.mark.parametrize("command", ["mcurve", "tune"])
@@ -434,11 +455,14 @@ def test_simulate_comparison_with_no_initial_control_in_the_second_exits_2(first
     assert list(tmp_path.iterdir()) == []
 
 
-def test_simulate_weak_dominance_warns_once():
-    with pytest.warns(DominanceWarning) as record:
-        code, _ = run_cli(["simulate", "--preset", "p1", "--gains", "100,10,1"])
+def test_simulate_weak_dominance_warns_once(capsys):
+    # the horizon sizing and the simulation both read the weak dominance
+    plant = Plant(*PRESETS["p1"]["plant"])
+    _, warns = _warned(closed_loop_poles, plant, PidGains(100.0, 10.0, 1.0))
+    assert len(warns) == 1 and warns[0].startswith("relative dominance")
+    code, _ = run_cli(["simulate", "--preset", "p1", "--gains", "100,10,1"], warns=warns)
     assert code == 0
-    assert len(record) == 1
+    assert capsys.readouterr().err == f"warning: {warns[0]}\n"
 
 
 def test_simulate_metrics_stable_under_step_halving():
@@ -711,7 +735,7 @@ def ref_riccati_lines(label, pkg):
     ]
 
 
-def ref_place(plant, target, warning_lines=()):
+def ref_place(plant, target):
     gains = place_gains(plant, target)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DominanceWarning)
@@ -728,7 +752,6 @@ def ref_place(plant, target, warning_lines=()):
         f"dominant: zeta={ref_fmt(report.dominant_zeta)} omega_n={ref_fmt(report.dominant_omega_n)}",
         f"real pole: {ref_fmt(report.real_pole)}",
         f"dominance ratio: {ref_fmt(report.dominance_ratio)}",
-        *warning_lines,
     ]
     return 0, "\n".join(lines) + "\n"
 
@@ -798,25 +821,29 @@ def _random_design(rng):
 
 
 def test_reports_of_random_designs_match_reference(tmp_path):
-    # stdout and the warnings Python is left to print, against the library
+    # stdout, and a stderr warning line for each distinct library warning
     rng = random.Random(16)
-    tune_codes = []
+    tune_codes, warned = [], 0
     for i in range(40):
         plant, target, desired, r = _random_design(rng)
         path = _write_design(tmp_path / f"d{i}.ini", plant, target, desired, r)
         assert run_cli(["place", "--config", path]) == ref_place(plant, target)
-        assert _warned(run_cli, ["inverse", "--config", path]) == _warned(ref_inverse, plant, target, r)
-        tune = _warned(run_cli, ["tune", "--config", path])
-        assert tune == _warned(ref_tune, plant, target, desired, r)
-        tune_codes.append(tune[0][0])
+        expected, warns = _warned(ref_inverse, plant, target, r)
+        assert run_cli(["inverse", "--config", path], warns=dict.fromkeys(warns)) == expected
+        warned += bool(warns)
+        expected, warns = _warned(ref_tune, plant, target, desired, r)
+        assert run_cli(["tune", "--config", path], warns=dict.fromkeys(warns)) == expected
+        warned += bool(warns)
+        tune_codes.append(expected[0])
     assert tune_codes.count(0) >= 30
+    assert warned > 0, warned
 
 
 def test_place_weak_dominance_warning_line(tmp_path):
     plant, target = Plant(9.0, 0.2, 3.0), ClosedLoopTarget(0.75, 7.0, 2.5)
     path = _write_design(tmp_path / "weak.ini", plant, target, 0.93, 1.0)
-    warning = "warning: relative dominance 2.5 is below 3; second-order behaviour is not guaranteed"
-    assert run_cli(["place", "--config", path]) == ref_place(plant, target, [warning])
+    warning = "relative dominance 2.5 is below 3; second-order behaviour is not guaranteed"
+    assert run_cli(["place", "--config", path], warns=[warning]) == ref_place(plant, target)
 
 
 def _preset(name):
@@ -1013,4 +1040,46 @@ def test_numpy_stays_off_the_import_path(tmp_path):
         "config 2 False",
         "tune 0 True",
     ]
-    assert "bogus" in done.stderr
+    assert done.stderr == "error: unknown key 'bogus' in section [plant]\n"
+
+
+# ---------------------------------------------------------------------------
+# warnings: one stderr line each, on every call of main
+# ---------------------------------------------------------------------------
+
+TWICE_PROBE = """
+import io, sys
+from fracpid.cli import main
+for argv in (["simulate", "--config", sys.argv[1]], ["mcurve", "--config", sys.argv[2]]):
+    for _ in range(2):
+        print(main(argv, out=io.StringIO()))
+        print("--", file=sys.stderr)
+"""
+
+
+def test_warnings_repeat_on_every_call_in_one_process(tmp_path):
+    # a weak dominance for simulate; a target so close to the open loop that
+    # kp < 0 for mcurve
+    weak = _write_design(
+        tmp_path / "weak.ini", Plant(9.0, 0.2, 3.0), ClosedLoopTarget(0.75, 7.0, 2.5), 0.93, 1.0
+    )
+    close = _write_design(
+        tmp_path / "close.ini", Plant(1.0, 0.2, 10.0), ClosedLoopTarget(0.75, 2.0, 10.0), 0.93, 1.0
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", TWICE_PROBE, weak, close],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines() == ["0"] * 4
+    simulate_1, simulate_2, mcurve_1, mcurve_2, rest = done.stderr.split("--\n")
+    assert simulate_1 == simulate_2 == (
+        "warning: relative dominance 2.5 is below 3; second-order behaviour is not guaranteed\n"
+    )
+    assert mcurve_1 == mcurve_2 == (
+        "warning: non-positive gain in PidGains(kp=-51.0, ki=60.0, kd=14.0); "
+        "target too close to the open loop\n"
+    )
+    assert rest == ""

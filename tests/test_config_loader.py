@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracpid import ClosedLoopTarget, PidGains, Plant
-from fracpid.cli import ConfigError, RunConfig, build_parser, main, resolve_config
+from fracpid.cli import PRESETS, ConfigError, RunConfig, build_parser, main, resolve_config
 
 # (section, key, RunConfig attribute, raw value, parsed value) for every key
 # that sets one RunConfig field of its own
@@ -131,7 +131,9 @@ def test_empty_plant_section_is_skipped(tmp_path, capsys):
     out = io.StringIO()
     assert main(["place", "--config", str(path)], out=out) == 2
     assert out.getvalue() == ""
-    assert "no plant configured" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no plant configured; use --preset or a [plant] section\n"
+    )
 
 
 def test_default_section_alone_changes_nothing(tmp_path):
@@ -234,7 +236,8 @@ BUILDERS = {"plant": Plant, "target": ClosedLoopTarget, "gains": PidGains, "gain
 
 @st.composite
 def config_files(draw):
-    """A config text with a random subset of keys, and the RunConfig it sets."""
+    """A config text with a random subset of keys, and the RunConfig fields
+    it sets."""
     sections, expected = {}, {}
     for section, fields in OBJECT_FIELDS.items():
         if draw(st.booleans()):
@@ -259,14 +262,88 @@ def config_files(draw):
     text = "".join(
         f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in sections[s].items()) for s in order
     )
-    return text, RunConfig(**expected)
+    return text, expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=config_files())
 def test_round_trip(tmp_path_factory, case):
     text, expected = case
-    assert load(tmp_path_factory.mktemp("rt"), text) == expected
+    assert load(tmp_path_factory.mktemp("rt"), text) == RunConfig(**expected)
+
+
+# ---------------------------------------------------------------------------
+# preset, file and flags merged
+# ---------------------------------------------------------------------------
+
+# the flags of each command that set a RunConfig field, by field; --q-step
+# is the stage-2 step for tune and the sweep step for mcurve
+COMMAND_FLAGS = {
+    "place": {},
+    "tune": {"desired_zeta": "--desired-zeta", "tune_q_step": "--q-step", "r": "--r",
+             "refine": "--refine"},
+    "mcurve": {"q_from": "--q-from", "q_to": "--q-to", "q_step": "--q-step", "gains": "--gains"},
+    "simulate": {"gains": "--gains", "gains2": "--gains2", "desired_zeta": "--desired-zeta",
+                 "dt": "--dt", "t_end": "--t-end",
+                 "disturbance_amplitude": "--disturbance-amplitude",
+                 "disturbance_time": "--disturbance-time"},
+    "inverse": {"gains": "--gains", "r": "--r"},
+}
+PATHS = st.text(string.ascii_letters + string.digits + "/._-", min_size=1)
+
+
+def _preset_fields(name):
+    preset = PRESETS[name]
+    fields = {"plant": Plant(*preset["plant"]), "target": ClosedLoopTarget(*preset["target"])}
+    if "desired_zeta" in preset:
+        fields["desired_zeta"] = preset["desired_zeta"]
+    return fields
+
+
+@st.composite
+def merged_runs(draw):
+    """A command line over an optional preset and config file, the file's
+    text, and the RunConfig of the rule flag > file > preset."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv, expected = [], {}
+    preset = draw(st.none() | st.sampled_from(sorted(PRESETS)))
+    if preset is not None:
+        argv.append(f"--preset={preset}")
+        expected.update(_preset_fields(preset))
+    text = None
+    if draw(st.booleans()):
+        text, from_file = draw(config_files())
+        expected.update(from_file)
+    for attr, flag in {**COMMAND_FLAGS[command], "out": "--out"}.items():
+        if not draw(st.booleans()):
+            continue
+        if attr == "refine":
+            value = True
+            argv.append(flag)
+        elif attr in ("gains", "gains2"):
+            values = draw(OBJECT_FIELDS[attr])
+            value = PidGains(**values)
+            argv.append(f"{flag}={values['kp']!r},{values['ki']!r},{values['kd']!r}")
+        elif attr == "out":
+            value = draw(PATHS)
+            argv.append(f"{flag}={value}")
+        else:
+            value = draw(FINITE)
+            argv.append(f"{flag}={value!r}")
+        expected[attr] = value
+    argv = [command, *draw(st.permutations(argv))]
+    return argv, text, RunConfig(**expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=merged_runs())
+def test_flags_override_the_file_and_the_file_the_preset(tmp_path_factory, case):
+    argv, text, expected = case
+    if text is not None:
+        path = tmp_path_factory.mktemp("merge") / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, f"--config={path}"]
+    assert resolve_config(build_parser().parse_args(argv)) == expected
 
 
 def _not_a_float(text):

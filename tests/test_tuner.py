@@ -23,13 +23,18 @@ from fracpid import (
     WedgeClass,
     classify_wedge,
     closed_loop_poles,
+    default_scenario,
     equivalent_pid,
+    m_study,
     mcurve,
     place_gains,
+    riccati_package,
+    simulate_closed_loop,
     two_stage_tune,
     w_zeros,
 )
 from fracpid import fractional_map, numerics, pole_placement, tuner
+from fracpid.cli import PRESETS
 from fracpid.tuner import MAX_Q_POINTS, ZETA_SLACK, q_grid
 
 from cases import BENCHMARKS, gains_tuple, max_rel_err
@@ -48,6 +53,14 @@ def test_q_grid_descending_inclusive():
 
 def test_q_grid_empty_when_reversed():
     assert q_grid(0.9, 1.1, 0.1) == []
+
+
+@pytest.mark.parametrize(
+    "q_from, q_to", [(5.0, 6.0), (3.0, 1.0), (0.5, math.inf), (math.nan, 1.0), (-1.0, 0.5)]
+)
+def test_q_grid_checks_its_domain_before_its_direction(q_from, q_to):
+    with pytest.raises(ValueError, match=r"q grid must lie inside \(0, 2\]"):
+        q_grid(q_from, q_to, 0.01)
 
 
 def test_q_grid_validation():
@@ -448,6 +461,40 @@ def test_walks_silence_dominance_warning_only_inside():
     assert len(caught) == sum(r < 3.0 for r in ratios) > 0
 
 
+def _locked(*args, **kwargs):
+    raise AssertionError("library code touched the warning filters")
+
+
+def test_library_calls_never_touch_the_warning_filters():
+    # the filters are process-wide, so a library that changes them races
+    # with every other thread; the CLI alone decides what is shown
+    designs = [
+        (Plant(*p["plant"]), ClosedLoopTarget(*p["target"]), p.get("desired_zeta"))
+        for p in PRESETS.values()
+    ]
+    # m = 4 at q = 1, dominance 2.3 at the refined order that reaches 0.9
+    designs.append((P1.plant, ClosedLoopTarget(0.75, 7.0, 4.0), 0.9))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(warnings, "simplefilter", _locked)
+            patch.setattr(warnings, "catch_warnings", _locked)
+            for plant, target, desired in designs:
+                gains = [place_gains(plant, target)]
+                if desired is not None:
+                    report = two_stage_tune(plant, target, desired, refine=True)
+                    gains += [report.suboptimal_gains, report.single_stage_gains]
+                mcurve(plant, gains[0], 1.3, 0.7, 0.01)
+                scenario = default_scenario(plant, target.zeta_cl, target.omega_n_cl)
+                for g in gains:
+                    riccati_package(plant, g)
+                    simulate_closed_loop(plant, g, scenario)
+                m_study(plant, target.zeta_cl, target.omega_n_cl, [2.0, target.m])
+    # the weak design and m = 2 still warn, through the caller's filters
+    weak = {str(w.message).split(" is")[0] for w in caught if w.category is DominanceWarning}
+    assert weak == {"relative dominance 2.3", "relative dominance 2"}
+
+
 # ---------------------------------------------------------------------------
 # frozen digests of the probe path's outcomes
 # ---------------------------------------------------------------------------
@@ -471,18 +518,24 @@ def _exact(*values):
 
 # SHA-256 over the 1000 designs of ``_bench_designs(seed=2)``, recorded before
 # the probe path was rewritten for speed; any drift in a root, gain or zeta
-# of a stage-2 probe or M-curve point changes them
-STAGE2_OUTCOMES_SHA = "191a8816c37da20bdb5fe01686d34191ddffee91ad7262751404c83cf2612974"
+# of a stage-2 probe or M-curve point changes them. The stage-2 outcomes are
+# split by refine, each in design order: 750 plain and 250 refine designs
+# (one list of all 1000 records gave 191a8816...)
+STAGE2_OUTCOMES_SHA = {
+    False: "70c7211baab438cc7fc2bd702e3247cac267de86fc03288ad1a0786a73d559d9",
+    True: "be18e47f7ce1103baa07d588887afc4c280aaf31990b77a9d97d2bc5b8b928b9",
+}
 MCURVE_POINTS_SHA = "8c35f1aa8b950eececfdb7db294cb1420585bddea6480090e850aede5609471d"
 
 
-def test_stage2_outcomes_match_frozen_digest():
+@pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+def test_stage2_outcomes_match_frozen_digest(refine):
     records = []
-    for plant, target, desired, q_step, refine in _bench_designs(seed=2, count=1000):
+    for plant, target, desired, q_step, refined in _bench_designs(seed=2, count=1000):
+        if refined != refine:
+            continue
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IndefiniteWeights)
-                report = two_stage_tune(plant, target, desired, q_step=q_step, refine=refine)
+            report = _tune(plant, target, desired, q_step, refine)
         except TargetUnreachable:
             records.append("TargetUnreachable")
             continue
@@ -490,7 +543,8 @@ def test_stage2_outcomes_match_frozen_digest():
             report.chosen_q, *gains_tuple(report.suboptimal_gains),
             report.achieved_zeta, report.achieved_omega_n,
         ))
-    assert _digest(records) == STAGE2_OUTCOMES_SHA
+    assert len(records) == (250 if refine else 750)
+    assert _digest(records) == STAGE2_OUTCOMES_SHA[refine]
 
 
 def test_mcurve_points_match_frozen_digest():
