@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import warnings
 from dataclasses import astuple, dataclass
@@ -44,6 +45,7 @@ from .tuner import DEFAULT_Q_STEP, TargetUnreachable, TuningReport, mcurve, two_
 __all__ = ["main", "RunConfig", "PRESETS"]
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 EXIT_UNREACHABLE = 4
@@ -345,7 +347,7 @@ def _cmd_place(args: argparse.Namespace, out) -> int:
         f"{fmt(r.real)}{'+' if r.imag >= 0 else '-'}{fmt(abs(r.imag))}j"
         for r in report.roots.roots
     )
-    out.write(_render([
+    text = _render([
         ("plant", plant),
         ("target", target),
         ("gains", gains),
@@ -353,7 +355,10 @@ def _cmd_place(args: argparse.Namespace, out) -> int:
         ("dominant", {"zeta": report.dominant_zeta, "omega_n": report.dominant_omega_n}),
         ("real pole", report.real_pole),
         ("dominance ratio", report.dominance_ratio),
-    ]))
+    ])
+    out.write(text)
+    if cfg.out is not None:
+        _write_text(cfg.out, text, out)
     return EXIT_OK
 
 
@@ -645,6 +650,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
         try:
             _q_flags_valid(args)
             code = _COMMANDS[args.command](args, out)
+            out.flush()
+        except BrokenPipeError:
+            # the reader closed stdout early, as `fracpid ... | head` does: end
+            # quietly, with stdout bound to the null device so that the flush
+            # at exit cannot fail again
+            code = EXIT_BROKEN_PIPE
+            if out is sys.stdout:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, out.fileno())
+                os.close(devnull)
         except (UnstableClosedLoop, UnstableGains, NonFiniteState, RealZeros, OutsideWedge) as exc:
             code, error = EXIT_UNSTABLE, exc
         except TargetUnreachable as exc:

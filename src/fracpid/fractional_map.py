@@ -157,13 +157,37 @@ def equivalent_pid(gains: PidGains, q: float) -> PidGains:
 
 def _equivalent_at(gains: PidGains, phi: float, q: float) -> PidGains:
     # equivalent_pid of gains whose w-plane angle phi is under-damped at q
+    return PidGains(*_equivalent_gains(gains, phi, q))
+
+
+def _equivalent_gains(gains: PidGains, phi: float, q: float) -> tuple[float, float, float]:
+    # (kp, ki, kd) of _equivalent_at as bare floats; ValueError on overflow
     try:
-        return PidGains(
-            kp=-2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q),
-            ki=gains.ki ** (1.0 / q),
-            kd=gains.kd ** (1.0 / q),
-        )
-    except (OverflowError, ValueError) as exc:
-        # finite gains map to a non-finite one only by overflow: past the
-        # float range in ``**`` (OverflowError) or to inf (PidGains rejects it)
+        kp = -2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q)
+        ki = gains.ki ** (1.0 / q)
+        kd = gains.kd ** (1.0 / q)
+        if not (math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)):
+            # finite gains map to a non-finite one only by overflow: ki*kd
+            # past the float range, or a power that rounds to inf
+            raise OverflowError
+    except OverflowError as exc:
         raise ValueError(f"equivalent gains of {gains} overflow at q={q:g}") from exc
+    return kp, ki, kd
+
+
+def _equivalent_rates(
+    gains: PidGains, phi: float, q: float, mapped: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    # d/dq of the gains _equivalent_gains(gains, phi, q) maps to, from that
+    # result: with a = (ki*kd)^(1/2q) = sqrt(ki(q)*kd(q)),
+    #   kp(q) = -2a*cos(phi/q), so kp' = -(kp*ln(ki*kd)/2 + 2a*phi*sin(phi/q))/q^2,
+    #   ki(q) = ki^(1/q), so ki' = -ki(q)*ln(ki)/q^2, and kd' alike
+    kp, ki, kd = mapped
+    log_ki, log_kd = math.log(gains.ki), math.log(gains.kd)
+    qq = q * q
+    a = math.sqrt(ki) * math.sqrt(kd)
+    return (
+        -(0.5 * kp * (log_ki + log_kd) + 2.0 * a * phi * math.sin(phi / q)) / qq,
+        -ki * log_ki / qq,
+        -kd * log_kd / qq,
+    )

@@ -55,7 +55,7 @@ class Plant:
     omega_n_ol: float  # rad/s
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.k, self.zeta_ol, self.omega_n_ol))):
+        if not (math.isfinite(self.k) and math.isfinite(self.zeta_ol) and math.isfinite(self.omega_n_ol)):
             raise ValueError("plant parameters must be finite")
         if self.k == 0.0:
             raise ValueError("plant gain k must be nonzero")
@@ -74,7 +74,7 @@ class ClosedLoopTarget:
     m: float = 10.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.zeta_cl, self.omega_n_cl, self.m))):
+        if not (math.isfinite(self.zeta_cl) and math.isfinite(self.omega_n_cl) and math.isfinite(self.m)):
             raise ValueError("target parameters must be finite")
         if not 0.0 < self.zeta_cl <= 1.0:
             raise ValueError("zeta_cl must lie in (0, 1]")
@@ -93,7 +93,7 @@ class PidGains:
     kd: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
+        if not (math.isfinite(self.kp) and math.isfinite(self.ki) and math.isfinite(self.kd)):
             raise ValueError("gains must be finite")
 
 
@@ -160,13 +160,13 @@ def _placement_shift(plant: Plant, target: ClosedLoopTarget) -> tuple[float, flo
 
 def closed_loop_characteristic(plant: Plant, gains: PidGains) -> Cubic:
     """Monic closed-loop denominator of the plant under the given PID."""
-    return Cubic(*_closed_loop_coefficients(plant, gains))
+    return Cubic(*_closed_loop_coefficients(plant, gains.kp, gains.ki, gains.kd))
 
 
-def _closed_loop_coefficients(plant: Plant, gains: PidGains) -> tuple[float, float, float, float]:
+def _closed_loop_coefficients(plant: Plant, kp: float, ki: float, kd: float) -> tuple[float, float, float, float]:
     # (a3, a2, a1, a0) of closed_loop_characteristic
     k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
-    return 1.0, 2.0 * zo * wo + k * gains.kd, wo * wo + k * gains.kp, k * gains.ki
+    return 1.0, 2.0 * zo * wo + k * kd, wo * wo + k * kp, k * ki
 
 
 def _dominant_reading(r0: complex, r1: complex, r2: complex) -> tuple[float, float, float] | None:

@@ -13,7 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fractional_map import WedgeClass, _equivalent_at, _s_zero_at, classify_wedge, w_zeros
+from .fractional_map import (
+    WedgeClass,
+    _equivalent_gains,
+    _equivalent_rates,
+    _s_zero_at,
+    classify_wedge,
+    w_zeros,
+)
 from .lqr_inverse import RiccatiPackage, delta_p_eigenvalues, riccati_package
 from .numerics import _cubic_roots
 from .pole_placement import (
@@ -40,8 +47,13 @@ ZETA_SLACK = 1e-8
 # default stage-2 grid step; the strided search takes one such step per stride
 DEFAULT_Q_STEP = 0.005
 
-# longest q grid a sweep or the stage-2 walk may build; the benchmark's
-# grids peak near 5000 points (stage 2 at q_step 0.0002)
+# relative margin by which the terms of the stage-2 slope must clear 0 before
+# its sign is trusted: a denominator this small leaves the root, and so the
+# slope, ~1e-8 relative error (rounding ~1e-16 over the margin squared)
+SLOPE_RTOL = 1e-4
+
+# longest q grid a sweep may build or the stage-2 walk may search; the
+# benchmark's grids peak near 5000 points (stage 2 at q_step 0.0002)
 MAX_Q_POINTS = 100_000
 
 
@@ -92,31 +104,85 @@ def q_grid(q_from: float, q_to: float, q_step: float) -> list[float]:
     empty when q_from < q_to. A grid of more than MAX_Q_POINTS points raises
     ValueError before it is built.
     """
+    return [q_from - i * q_step for i in range(_grid_size(q_from, q_to, q_step))]
+
+
+def _grid_size(q_from: float, q_to: float, q_step: float) -> int:
+    # the point count of q_grid, which raises what q_grid raises; point i
+    # is q_from - i * q_step
     if not q_step > 0.0:
         raise ValueError("q_step must be positive")
     if not (0.0 < q_to <= 2.0 and 0.0 < q_from <= 2.0):
         raise ValueError("q grid must lie inside (0, 2]")
     if q_from < q_to:
-        return []
+        return 0
     steps = (q_from - q_to) / q_step + 1e-9
     if steps >= MAX_Q_POINTS:
         count = int(steps) + 1 if math.isfinite(steps) else steps
         raise ValueError(f"q grid of {count} points exceeds the cap of {MAX_Q_POINTS}")
-    return [q_from - i * q_step for i in range(int(steps) + 1)]
+    return int(steps) + 1
 
 
-def _probe(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
-    # one M-curve point without its s-plane zero, phi the stage-1 w-plane
-    # zero angle: the dominant pole as closed_loop_poles reads it, from the
-    # bare roots, so a probe never warns (dominance belongs to designs)
-    point = MCurvePoint(q=q, wedge=classify_wedge(phi, q), stable=False)
-    if point.wedge is WedgeClass.UNDER_DAMPED:
-        point.equivalent_gains = gains = _equivalent_at(stage1_gains, phi, q)
-        reading = _dominant_reading(*_cubic_roots(*_closed_loop_coefficients(plant, gains)))
-        if reading is not None:
-            point.stable = True
-            point.dominant_zeta, point.dominant_omega_n, _ = reading
-    return point
+def _probe(
+    plant: Plant, stage1_gains: PidGains, phi: float, q: float
+) -> tuple[tuple[float, float, float], tuple[complex, complex, complex]]:
+    # the probe core, for an order q at which phi (the stage-1 w-plane zero
+    # angle) is under-damped: the equivalent gains (kp, ki, kd) as bare floats
+    # and the closed-loop roots they give, sorted as solve_cubic sorts them;
+    # one cubic, no PidGains or report built and no warning, since dominance
+    # belongs to designs
+    gains = _equivalent_gains(stage1_gains, phi, q)
+    return gains, _cubic_roots(*_closed_loop_coefficients(plant, *gains))
+
+
+def _point(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
+    # one M-curve point without its s-plane zero: the dominant pole as
+    # closed_loop_poles reads it, from the probed roots
+    wedge = classify_wedge(phi, q)
+    if wedge is not WedgeClass.UNDER_DAMPED:
+        return MCurvePoint(q, wedge, False)
+    gains, roots = _probe(plant, stage1_gains, phi, q)
+    reading = _dominant_reading(*roots)
+    if reading is None:
+        return MCurvePoint(q, wedge, False, PidGains(*gains))
+    return MCurvePoint(q, wedge, True, PidGains(*gains), None, reading[0], reading[1])
+
+
+def _zeta_slope(
+    plant: Plant,
+    stage1_gains: PidGains,
+    phi: float,
+    q: float,
+    gains: tuple[float, float, float],
+    roots: tuple[complex, complex, complex],
+) -> float | None:
+    # d(zeta)/dq of the dominant pair at order q, from what _probe returned
+    # there, with no second cubic. The loop coefficients a2, a1, a0 are affine
+    # in the mapped gains, so at a simple root s implicit differentiation
+    # gives s' = -(a2' s^2 + a1' s + a0')/(3 s^2 + 2 a2 s + a1), and with
+    # s = x + jy, zeta' = -(x' y^2 - x y y')/|s|^3. None where the sign is not
+    # certain: a real dominant root, or a denominator, numerator or slope
+    # within SLOPE_RTOL of 0 against the terms it sums
+    _, r1, r2 = roots
+    s = r2 if r2.imag != 0.0 else r1
+    if s.imag == 0.0:
+        return None
+    dkp, dki, dkd = _equivalent_rates(stage1_gains, phi, q, gains)
+    _, a2, a1, _ = _closed_loop_coefficients(plant, *gains)
+    k, ss, size = plant.k, s * s, abs(s)
+    den = 3.0 * ss + 2.0 * a2 * s + a1
+    num = k * (dkd * ss + dkp * s + dki)
+    if not (
+        abs(den) > SLOPE_RTOL * (3.0 * size * size + 2.0 * abs(a2) * size + abs(a1))
+        and abs(num) > SLOPE_RTOL * abs(k) * (abs(dkd) * size * size + abs(dkp) * size + abs(dki))
+    ):
+        return None
+    ds = -num / den
+    x, y = s.real, s.imag
+    top = x * y * ds.imag - ds.real * y * y
+    if not abs(top) > SLOPE_RTOL * abs(y) * (abs(x) + abs(y)) * abs(ds):
+        return None
+    return top / (size * size * size)
 
 
 def mcurve(
@@ -135,7 +201,7 @@ def mcurve(
     phi = w_zeros(stage1_gains).phi
     points = []
     for q in q_grid(q_from, q_to, q_step):
-        point = _probe(plant, stage1_gains, phi, q)
+        point = _point(plant, stage1_gains, phi, q)
         if point.equivalent_gains is not None:
             point.s_zero = _s_zero_at(stage1_gains, phi, q)
         points.append(point)
@@ -164,12 +230,16 @@ def two_stage_tune(
     The search strides S = max(1, floor(DEFAULT_Q_STEP/q_step + 1e-9)) grid
     steps, one default step in q (the 1e-9 mirrors q_grid's rounding). From
     a clear index i (stable, damping below the target) it probes j = i+S and
-    j+1, and skips i+1..j-1 only when both are clear and the damping rises
-    from j to j+1; otherwise it walks i+1..j in order. It returns what a
+    skips i+1..j-1 only when j is clear and the damping rises past j as q
+    falls; otherwise it walks i+1..j in order. The closed-form slope
+    d(zeta)/dq at j decides the rise from the one probe, with no second
+    cubic; where its sign is not certain (a real dominant root, a vanishing
+    denominator at a double root, or a slope within rounding of 0) j+1 is
+    probed too and the damping must rise from j to j+1. It returns what a
     walk over every grid order would, unless the damping turns twice, or a
     stability pocket opens (or a probe raises), strictly inside a stride
-    whose ends are clear, the far one rising. At q_step >= DEFAULT_Q_STEP
-    the stride is 1 and the search is the walk.
+    whose far end is clear and rising. At q_step >= DEFAULT_Q_STEP the
+    stride is 1 and the search is the walk.
 
     The zeros stay under-damped only while q > phi/pi (phi the stage-1
     w-plane zero angle), so the search probes each of at most
@@ -188,41 +258,59 @@ def two_stage_tune(
     phi = w_zeros(stage1_gains).phi
 
     zeta_floor = desired_zeta - ZETA_SLACK
-    grid = q_grid(1.0, phi / math.pi, q_step)
+    # the q_grid from 1 down to phi/pi, whose point k is 1 - k*q_step; at fine
+    # steps it runs to thousands of orders, of which the search probes tens
+    size = _grid_size(1.0, phi / math.pi, q_step)
     stride = max(1, int(DEFAULT_Q_STEP / q_step + 1e-9))
     seen = {}
+
+    def probe(q):
+        # (gains, roots, zeta, omega_n) at order q, or None where the zeros
+        # leave the wedge or the loop is unstable
+        if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
+            return None
+        gains, roots = _probe(plant, stage1_gains, phi, q)
+        reading = _dominant_reading(*roots)
+        return None if reading is None else (gains, roots, reading[0], reading[1])
 
     def look(k):
         # probe grid index k once; what it raises waits until the walk reaches k
         if k not in seen:
             try:
-                seen[k] = _probe(plant, stage1_gains, phi, grid[k])
+                seen[k] = probe(1.0 - k * q_step)
             except Exception as exc:
                 seen[k] = exc
         return seen[k]
 
-    def zeta(k):
-        # damping at index k while k is clear (stable, below the floor), else
-        # NaN, so that every rise test on k fails
-        point = look(k)
-        clear = isinstance(point, MCurvePoint) and point.stable and point.dominant_zeta < zeta_floor
-        return point.dominant_zeta if clear else math.nan
+    def clear(k):
+        # whether index k is stable with its damping below the floor
+        found = look(k)
+        return isinstance(found, tuple) and found[2] < zeta_floor
+
+    def rising(j):
+        # whether the damping rises past clear index j as q falls: by the sign
+        # of the slope at j where it is certain, else by probing j+1
+        gains, roots, zeta, _ = seen[j]
+        slope = _zeta_slope(plant, stage1_gains, phi, 1.0 - j * q_step, gains, roots)
+        if slope is not None:
+            return slope < 0.0
+        return clear(j + 1) and zeta < seen[j + 1][2]
 
     i = stop = 0  # the walk stands at i; at stop it tries the next stride
-    while i < len(grid):
+    while i < size:
         chosen = look(i)
         if isinstance(chosen, Exception):
             raise chosen
-        if not chosen.stable:
+        if chosen is None:
             raise TargetUnreachable(
                 f"loop unstable or zeros outside the under-damped wedge "
-                f"at q={grid[i]:g} before damping {desired_zeta:g} was reached"
+                f"at q={1.0 - i * q_step:g} before damping {desired_zeta:g} was reached"
             )
-        if chosen.dominant_zeta >= zeta_floor:
+        if chosen[2] >= zeta_floor:
             break
         if i == stop:
             j = stop = i + stride
-            if stride > 1 and j + 1 < len(grid) and zeta(j) < zeta(j + 1):
+            if stride > 1 and j + 1 < size and clear(j) and rising(j):
                 i = j
                 continue
         i += 1
@@ -231,24 +319,24 @@ def two_stage_tune(
             f"no order on the {q_step:g} grid above phi/pi="
             f"{phi / math.pi:g} reaches damping {desired_zeta:g}"
         )
+    chosen_q = 1.0 - i * q_step
     if refine:
         for half in (0.5 * q_step, 0.25 * q_step):
-            if chosen.q + half <= 1.0:
-                candidate = _probe(plant, stage1_gains, phi, chosen.q + half)
-                if candidate.stable and candidate.dominant_zeta >= zeta_floor:
-                    chosen = candidate
+            if chosen_q + half <= 1.0:
+                candidate = probe(chosen_q + half)
+                if candidate is not None and candidate[2] >= zeta_floor:
+                    chosen_q, chosen = chosen_q + half, candidate
 
-    suboptimal_gains = chosen.equivalent_gains
-    achieved = ClosedLoopTarget(
-        chosen.dominant_zeta, chosen.dominant_omega_n, stage1_target.m
-    )
+    gains, _, zeta, omega = chosen
+    suboptimal_gains = PidGains(*gains)
+    achieved = ClosedLoopTarget(zeta, omega, stage1_target.m)
     single_stage_gains = place_gains(plant, achieved)
     pkg_lqr = riccati_package(plant, single_stage_gains, r)
     pkg_sub = riccati_package(plant, suboptimal_gains, r)
     eigs, definite = delta_p_eigenvalues(pkg_lqr.p, pkg_sub.p)
     return TuningReport(
         stage1_gains=stage1_gains,
-        chosen_q=chosen.q,
+        chosen_q=chosen_q,
         suboptimal_gains=suboptimal_gains,
         achieved_zeta=achieved.zeta_cl,
         achieved_omega_n=achieved.omega_n_cl,

@@ -68,6 +68,14 @@ def test_place_preset_reproduces_published_gains():
     assert "dominant: zeta=0.75 omega_n=7" in text
 
 
+def test_place_writes_its_report_to_out(tmp_path):
+    path = tmp_path / "place.txt"
+    code, text = run_cli(["place", "--preset", "p1", "--out", str(path)])
+    assert code == 0
+    assert text == run_cli(["place", "--preset", "p1"])[1]
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_place_low_dominance_warns(tmp_path):
     config = tmp_path / "low_m.ini"
     config.write_text(
@@ -1083,3 +1091,38 @@ def test_warnings_repeat_on_every_call_in_one_process(tmp_path):
         "target too close to the open loop\n"
     )
     assert rest == ""
+
+
+# ---------------------------------------------------------------------------
+# a reader that closes stdout early
+# ---------------------------------------------------------------------------
+
+# what the installed ``fracpid`` console script runs
+CONSOLE_ENTRY = "import sys\nfrom fracpid.cli import main\nsys.exit(main())\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["place", "--preset", "p1"],
+        ["simulate", "--preset", "p1", "--compare"],
+        ["simulate", "--preset", "p1", "--compare", "--out", "trace.csv"],
+    ],
+    ids=["place", "simulate", "simulate --out"],
+)
+def test_a_closed_stdout_ends_the_console_entry_quietly(tmp_path, argv):
+    # as ``fracpid ... | head`` does once head exits: every write to stdout
+    # fails with EPIPE, whether during the command or at the flush on exit
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", CONSOLE_ENTRY, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")

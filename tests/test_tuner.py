@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 
+import mpmath
 import pytest
 from numpy.testing import assert_allclose
 
@@ -395,8 +396,9 @@ class _ProbeFault(Exception):
 
 
 def _probe_raising(monkeypatch, raises_at):
-    """Patch tuner._probe to raise _ProbeFault(q) wherever raises_at(q) holds;
-    returns the list of orders it raised at."""
+    """Patch the probe core, tuner._probe, which every stage-2 order goes
+    through, to raise _ProbeFault(q) wherever raises_at(q) holds; returns
+    the list of orders it raised at."""
     probe, raised = tuner._probe, []
 
     def patched(plant, stage1_gains, phi, q):
@@ -588,20 +590,106 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
 
     two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
     assert calls["w_zeros"] == 1
-    # at most one cubic per probe: 56 probes, where a walk over every grid
-    # order made 492; the public solver serves only the two Riccati packages
-    assert calls["_cubic_roots"] <= calls["_probe"] <= 58
+    # one cubic per probe: 37 probes, where the stride that probed both j and
+    # j+1 made 56 and a walk over every grid order 492; the public solver
+    # serves only the two Riccati packages
+    assert calls["_cubic_roots"] == calls["_probe"] <= 37
     assert calls["solve_cubic"] == 2
     tune_calls = calls.copy()
     points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
     assert calls["w_zeros"] == 2
     mapped = sum(p.equivalent_gains is not None for p in points)
     assert mapped > 20
-    # one cubic for each point inside the wedge, none for the others
-    assert calls["_probe"] - tune_calls["_probe"] == len(points)
+    # one probe, and so one cubic, for each point inside the wedge, none for
+    # the others
+    assert calls["_probe"] - tune_calls["_probe"] == mapped
     assert calls["_cubic_roots"] - tune_calls["_cubic_roots"] == mapped
     assert calls["solve_cubic"] == 2
     assert calls["__call__"] == calls["derivative"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the closed-form slope of the dominant damping
+# ---------------------------------------------------------------------------
+
+def _slope(plant, stage1_gains, q):
+    phi = w_zeros(stage1_gains).phi
+    return tuner._zeta_slope(plant, stage1_gains, phi, q, *tuner._probe(plant, stage1_gains, phi, q))
+
+
+def _mp_zeta(plant, stage1_gains, q):
+    """Dominant damping at order q in working precision: the equivalent gains
+    from their closed form, the closed-loop roots by mpmath.polyroots, and
+    the upper root of the complex pair."""
+    ki, kd, phi = (mpmath.mpf(v) for v in (stage1_gains.ki, stage1_gains.kd, w_zeros(stage1_gains).phi))
+    k, zo, wo = (mpmath.mpf(v) for v in (plant.k, plant.zeta_ol, plant.omega_n_ol))
+    kp_q = -2 * (ki * kd) ** (1 / (2 * q)) * mpmath.cos(phi / q)
+    roots = mpmath.polyroots(
+        [1, 2 * zo * wo + k * kd ** (1 / q), wo * wo + k * kp_q, k * ki ** (1 / q)],
+        maxsteps=200, extraprec=200,
+    )
+    s = max(roots, key=mpmath.im)
+    return -s.real / abs(s)
+
+
+def test_zeta_slope_matches_a_40_digit_derivative():
+    rng = random.Random(11)
+    designs = [(b.plant, b.stage1) for b in BENCHMARKS]
+    designs += [(plant, target) for plant, target, _, _, _ in _bench_designs(seed=4, count=200)]
+    checked = 0
+    for plant, target in designs:
+        gains = place_gains(plant, target)
+        edge = w_zeros(gains).phi / math.pi
+        # an order between the wedge edge and 1, where the stage-2 walk probes
+        q = 1.0 - rng.uniform(0.0, 0.9) * (1.0 - edge)
+        slope = _slope(plant, gains, q)
+        if slope is None:
+            # only once the pair has met the real axis, or the loop is unstable
+            phi = w_zeros(gains).phi
+            reading = pole_placement._dominant_reading(*tuner._probe(plant, gains, phi, q)[1])
+            assert reading is None or reading[0] == 1.0, (plant, target, q)
+            continue
+        with mpmath.workdps(40):
+            exact = mpmath.diff(lambda t: _mp_zeta(plant, gains, t), mpmath.mpf(q))
+        assert abs(slope - exact) <= 1e-9 * abs(exact), (plant, target, q)
+        checked += 1
+    assert checked >= 150
+
+
+def test_zeta_slope_is_none_where_its_sign_is_not_certain():
+    # zeta_cl = 1 at m = 2 puts a double root at -omega_n: the solver splits
+    # it into a pair 1e-7 off the real axis, where the derivative's
+    # denominator vanishes; at m = 10 it returns the double root as real
+    for m, pair in ((2.0, True), (10.0, False)):
+        gains = place_gains(P1.plant, ClosedLoopTarget(1.0, 3.0, m))
+        phi = w_zeros(gains).phi
+        mapped, roots = tuner._probe(P1.plant, gains, phi, 1.0)
+        assert any(r.imag != 0.0 for r in roots) is pair
+        assert tuner._zeta_slope(P1.plant, gains, phi, 1.0, mapped, roots) is None
+
+
+def test_stride_probes_once_where_the_slope_is_certain_and_twice_where_not(monkeypatch):
+    # the same answer from the slope and from the two-probe rise test it
+    # replaces, which the search still uses where the slope is None
+    def tune(q_step):
+        probes = []
+        probe = tuner._probe
+
+        def counted(plant, stage1_gains, phi, q):
+            probes.append(q)
+            return probe(plant, stage1_gains, phi, q)
+
+        monkeypatch.setattr(tuner, "_probe", counted)
+        report = two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=q_step)
+        return (report.chosen_q, report.suboptimal_gains), len(probes)
+
+    for q_step in (0.001, 0.0002):
+        by_slope = tune(q_step)
+        monkeypatch.setattr(tuner, "_zeta_slope", lambda *args: None)
+        by_two_probes = tune(q_step)
+        monkeypatch.undo()
+        assert by_slope[0] == by_two_probes[0]
+        assert by_slope[1] < by_two_probes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +723,7 @@ def test_probe_reads_what_closed_loop_poles_reads_at_any_scale():
             continue
         q = min(2.0, phi / math.pi * rng.uniform(0.9, 2.1))
 
-        probed = _outcome(lambda: tuner._probe(plant, gains, phi, q))
+        probed = _outcome(lambda: tuner._point(plant, gains, phi, q))
         mapped = _outcome(lambda: equivalent_pid(gains, q))
         if isinstance(mapped, tuple):
             if mapped[0] is OutsideWedge:
