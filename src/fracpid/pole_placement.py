@@ -55,7 +55,7 @@ class Plant:
     omega_n_ol: float  # rad/s
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and math.isfinite(self.zeta_ol) and math.isfinite(self.omega_n_ol)):
+        if not all(map(math.isfinite, (self.k, self.zeta_ol, self.omega_n_ol))):
             raise ValueError("plant parameters must be finite")
         if self.k == 0.0:
             raise ValueError("plant gain k must be nonzero")
@@ -74,7 +74,7 @@ class ClosedLoopTarget:
     m: float = 10.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.zeta_cl) and math.isfinite(self.omega_n_cl) and math.isfinite(self.m)):
+        if not all(map(math.isfinite, (self.zeta_cl, self.omega_n_cl, self.m))):
             raise ValueError("target parameters must be finite")
         if not 0.0 < self.zeta_cl <= 1.0:
             raise ValueError("zeta_cl must lie in (0, 1]")

@@ -48,8 +48,8 @@ ZETA_SLACK = 1e-8
 DEFAULT_Q_STEP = 0.005
 
 # relative margin by which the terms of the stage-2 slope must clear 0 before
-# its sign is trusted: a denominator this small leaves the root, and so the
-# slope, ~1e-8 relative error (rounding ~1e-16 over the margin squared)
+# its sign is trusted: roots this close leave the root, and so the slope,
+# ~1e-8 relative error (rounding ~1e-16 over the margin squared)
 SLOPE_RTOL = 1e-4
 
 # longest q grid a sweep may build or the stage-2 walk may search; the
@@ -125,27 +125,36 @@ def _grid_size(q_from: float, q_to: float, q_step: float) -> int:
 
 def _probe(
     plant: Plant, stage1_gains: PidGains, phi: float, q: float
-) -> tuple[tuple[float, float, float], tuple[complex, complex, complex]]:
-    # the probe core, for an order q at which phi (the stage-1 w-plane zero
-    # angle) is under-damped: the equivalent gains (kp, ki, kd) as bare floats
-    # and the closed-loop roots they give, sorted as solve_cubic sorts them;
-    # one cubic, no PidGains or report built and no warning, since dominance
-    # belongs to designs
+) -> tuple[
+    tuple[float, float, float],
+    tuple[complex, complex, complex],
+    tuple[float, float, float] | None,
+] | None:
+    # the probe core, on bare floats: None where the zeros leave the
+    # under-damped wedge at q (phi the stage-1 w-plane zero angle), else the
+    # equivalent gains (kp, ki, kd), the closed-loop roots they give, sorted
+    # as solve_cubic sorts them, and the dominant reading of those roots,
+    # None where the loop is unstable; one cubic, no PidGains or report built
+    # and no warning, since dominance belongs to designs
+    if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
+        return None
     gains = _equivalent_gains(stage1_gains, phi, q)
-    return gains, _cubic_roots(*_closed_loop_coefficients(plant, *gains))
+    roots = _cubic_roots(*_closed_loop_coefficients(plant, *gains))
+    return gains, roots, _dominant_reading(*roots)
 
 
 def _point(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
     # one M-curve point without its s-plane zero: the dominant pole as
     # closed_loop_poles reads it, from the probed roots
-    wedge = classify_wedge(phi, q)
-    if wedge is not WedgeClass.UNDER_DAMPED:
-        return MCurvePoint(q, wedge, False)
-    gains, roots = _probe(plant, stage1_gains, phi, q)
-    reading = _dominant_reading(*roots)
+    found = _probe(plant, stage1_gains, phi, q)
+    if found is None:
+        return MCurvePoint(q, classify_wedge(phi, q), False)
+    gains, _, reading = found
     if reading is None:
-        return MCurvePoint(q, wedge, False, PidGains(*gains))
-    return MCurvePoint(q, wedge, True, PidGains(*gains), None, reading[0], reading[1])
+        return MCurvePoint(q, WedgeClass.UNDER_DAMPED, False, PidGains(*gains))
+    return MCurvePoint(
+        q, WedgeClass.UNDER_DAMPED, True, PidGains(*gains), None, reading[0], reading[1]
+    )
 
 
 def _zeta_slope(
@@ -156,33 +165,35 @@ def _zeta_slope(
     gains: tuple[float, float, float],
     roots: tuple[complex, complex, complex],
 ) -> float | None:
-    # d(zeta)/dq of the dominant pair at order q, from what _probe returned
-    # there, with no second cubic. The loop coefficients a2, a1, a0 are affine
-    # in the mapped gains, so at a simple root s implicit differentiation
-    # gives s' = -(a2' s^2 + a1' s + a0')/(3 s^2 + 2 a2 s + a1), and with
-    # s = x + jy, zeta' = -(x' y^2 - x y y')/|s|^3. None where the sign is not
-    # certain: a real dominant root, or a denominator, numerator or slope
-    # within SLOPE_RTOL of 0 against the terms it sums
-    _, r1, r2 = roots
-    s = r2 if r2.imag != 0.0 else r1
+    # d(zeta)/dq of the dominant pair at order q, from the gains and roots
+    # _probe found there, with no second cubic. The loop coefficients are
+    # affine in the mapped gains, so at a simple root s of the monic cubic p
+    # implicit differentiation gives s' = -k(kd' s^2 + kp' s + ki')/p'(s),
+    # with p'(s) = (s - a)(s - b) over the other two roots a, b. With
+    # s = |s|(u + jv), zeta = -u and zeta' = (u v y' - v^2 x')/|s|, read in
+    # unit-modulus terms so that no scale underflows. None where the sign is
+    # not certain: a real dominant root, or a root separation, numerator or
+    # slope within SLOPE_RTOL of 0 against the terms it sums
+    r0, r1, r2 = roots
+    s, a, b = (r2, r0, r1) if r2.imag != 0.0 else (r1, r0, r2)
     if s.imag == 0.0:
         return None
-    dkp, dki, dkd = _equivalent_rates(stage1_gains, phi, q, gains)
-    _, a2, a1, _ = _closed_loop_coefficients(plant, *gains)
-    k, ss, size = plant.k, s * s, abs(s)
-    den = 3.0 * ss + 2.0 * a2 * s + a1
-    num = k * (dkd * ss + dkp * s + dki)
+    size = abs(s)
     if not (
-        abs(den) > SLOPE_RTOL * (3.0 * size * size + 2.0 * abs(a2) * size + abs(a1))
-        and abs(num) > SLOPE_RTOL * abs(k) * (abs(dkd) * size * size + abs(dkp) * size + abs(dki))
+        abs(s - a) > SLOPE_RTOL * (size + abs(a)) and abs(s - b) > SLOPE_RTOL * (size + abs(b))
     ):
         return None
-    ds = -num / den
-    x, y = s.real, s.imag
-    top = x * y * ds.imag - ds.real * y * y
-    if not abs(top) > SLOPE_RTOL * abs(y) * (abs(x) + abs(y)) * abs(ds):
+    dkp, dki, dkd = _equivalent_rates(stage1_gains, phi, q, gains)
+    k = plant.k
+    num = k * (dkd * s * s + dkp * s + dki)
+    if not abs(num) > SLOPE_RTOL * abs(k) * (abs(dkd) * size * size + abs(dkp) * size + abs(dki)):
         return None
-    return top / (size * size * size)
+    ds = -num / ((s - a) * (s - b))
+    u, v = s.real / size, s.imag / size
+    top = u * v * ds.imag - v * v * ds.real
+    if not abs(top) > SLOPE_RTOL * abs(v) * (abs(u) + abs(v)) * abs(ds):
+        return None
+    return top / size
 
 
 def mcurve(
@@ -230,16 +241,15 @@ def two_stage_tune(
     The search strides S = max(1, floor(DEFAULT_Q_STEP/q_step + 1e-9)) grid
     steps, one default step in q (the 1e-9 mirrors q_grid's rounding). From
     a clear index i (stable, damping below the target) it probes j = i+S and
-    skips i+1..j-1 only when j is clear and the damping rises past j as q
-    falls; otherwise it walks i+1..j in order. The closed-form slope
-    d(zeta)/dq at j decides the rise from the one probe, with no second
-    cubic; where its sign is not certain (a real dominant root, a vanishing
-    denominator at a double root, or a slope within rounding of 0) j+1 is
-    probed too and the damping must rise from j to j+1. It returns what a
-    walk over every grid order would, unless the damping turns twice, or a
-    stability pocket opens (or a probe raises), strictly inside a stride
-    whose far end is clear and rising. At q_step >= DEFAULT_Q_STEP the
-    stride is 1 and the search is the walk.
+    skips i+1..j-1 only when j is clear and the closed-form slope d(zeta)/dq
+    at j is certainly negative, so that the damping rises past j as q falls;
+    otherwise it walks i+1..j in order. The slope comes from the one probe
+    at j, with no second cubic; where its sign is not certain (a real
+    dominant root, a double root, or a slope within rounding of 0) the
+    search walks. It returns what a walk over every grid order would, unless
+    the damping turns twice, or a stability pocket opens (or a probe
+    raises), strictly inside a stride that it skips. At q_step >=
+    DEFAULT_Q_STEP the stride is 1 and the search is the walk.
 
     The zeros stay under-damped only while q > phi/pi (phi the stage-1
     w-plane zero angle), so the search probes each of at most
@@ -264,37 +274,26 @@ def two_stage_tune(
     stride = max(1, int(DEFAULT_Q_STEP / q_step + 1e-9))
     seen = {}
 
-    def probe(q):
-        # (gains, roots, zeta, omega_n) at order q, or None where the zeros
-        # leave the wedge or the loop is unstable
-        if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
-            return None
-        gains, roots = _probe(plant, stage1_gains, phi, q)
-        reading = _dominant_reading(*roots)
-        return None if reading is None else (gains, roots, reading[0], reading[1])
-
     def look(k):
-        # probe grid index k once; what it raises waits until the walk reaches k
+        # the probe at grid index k, made once, or None where the zeros leave
+        # the wedge or the loop is unstable; what it raises waits until the
+        # walk reaches k
         if k not in seen:
             try:
-                seen[k] = probe(1.0 - k * q_step)
+                found = _probe(plant, stage1_gains, phi, 1.0 - k * q_step)
+                seen[k] = None if found is None or found[2] is None else found
             except Exception as exc:
                 seen[k] = exc
         return seen[k]
 
-    def clear(k):
-        # whether index k is stable with its damping below the floor
-        found = look(k)
-        return isinstance(found, tuple) and found[2] < zeta_floor
-
-    def rising(j):
-        # whether the damping rises past clear index j as q falls: by the sign
-        # of the slope at j where it is certain, else by probing j+1
-        gains, roots, zeta, _ = seen[j]
-        slope = _zeta_slope(plant, stage1_gains, phi, 1.0 - j * q_step, gains, roots)
-        if slope is not None:
-            return slope < 0.0
-        return clear(j + 1) and zeta < seen[j + 1][2]
+    def skips(j):
+        # whether the stride may skip to index j: j is clear, stable with its
+        # damping below the floor, and the slope there is certainly negative
+        found = look(j)
+        if not (isinstance(found, tuple) and found[2][0] < zeta_floor):
+            return False
+        slope = _zeta_slope(plant, stage1_gains, phi, 1.0 - j * q_step, *found[:2])
+        return slope is not None and slope < 0.0
 
     i = stop = 0  # the walk stands at i; at stop it tries the next stride
     while i < size:
@@ -306,11 +305,11 @@ def two_stage_tune(
                 f"loop unstable or zeros outside the under-damped wedge "
                 f"at q={1.0 - i * q_step:g} before damping {desired_zeta:g} was reached"
             )
-        if chosen[2] >= zeta_floor:
+        if chosen[2][0] >= zeta_floor:
             break
         if i == stop:
             j = stop = i + stride
-            if stride > 1 and j + 1 < size and clear(j) and rising(j):
+            if stride > 1 and j < size and skips(j):
                 i = j
                 continue
         i += 1
@@ -323,11 +322,11 @@ def two_stage_tune(
     if refine:
         for half in (0.5 * q_step, 0.25 * q_step):
             if chosen_q + half <= 1.0:
-                candidate = probe(chosen_q + half)
-                if candidate is not None and candidate[2] >= zeta_floor:
+                candidate = _probe(plant, stage1_gains, phi, chosen_q + half)
+                if candidate and candidate[2] and candidate[2][0] >= zeta_floor:
                     chosen_q, chosen = chosen_q + half, candidate
 
-    gains, _, zeta, omega = chosen
+    gains, _, (zeta, omega, _) = chosen
     suboptimal_gains = PidGains(*gains)
     achieved = ClosedLoopTarget(zeta, omega, stage1_target.m)
     single_stage_gains = place_gains(plant, achieved)

@@ -397,7 +397,7 @@ class _ProbeFault(Exception):
 
 def _probe_raising(monkeypatch, raises_at):
     """Patch the probe core, tuner._probe, which every stage-2 order goes
-    through, to raise _ProbeFault(q) wherever raises_at(q) holds; returns
+    through, wedge check included, to raise _ProbeFault(q) wherever raises_at(q) holds; returns
     the list of orders it raised at."""
     probe, raised = tuner._probe, []
 
@@ -583,7 +583,12 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     w_zeros_counted = counted(fractional_map, "w_zeros")
     for module in (fractional_map, tuner):
         monkeypatch.setattr(module, "w_zeros", w_zeros_counted)
-    for owner, name in ((pole_placement, "solve_cubic"), (tuner, "_cubic_roots"), (tuner, "_probe")):
+    for owner, name in (
+        (pole_placement, "solve_cubic"),
+        (tuner, "_cubic_roots"),
+        (tuner, "_probe"),
+        (tuner, "_zeta_slope"),
+    ):
         monkeypatch.setattr(owner, name, counted(owner, name))
     for name in ("__call__", "derivative"):
         monkeypatch.setattr(Cubic, name, counted(Cubic, name))
@@ -591,18 +596,19 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
     assert calls["w_zeros"] == 1
     # one cubic per probe: 37 probes, where the stride that probed both j and
-    # j+1 made 56 and a walk over every grid order 492; the public solver
-    # serves only the two Riccati packages
+    # j+1 made 56 and a walk over every grid order 492; one slope per stride
+    # end, and the public solver serves only the two Riccati packages
     assert calls["_cubic_roots"] == calls["_probe"] <= 37
+    assert 0 < calls["_zeta_slope"] < calls["_probe"]
     assert calls["solve_cubic"] == 2
     tune_calls = calls.copy()
     points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
     assert calls["w_zeros"] == 2
     mapped = sum(p.equivalent_gains is not None for p in points)
     assert mapped > 20
-    # one probe, and so one cubic, for each point inside the wedge, none for
-    # the others
-    assert calls["_probe"] - tune_calls["_probe"] == mapped
+    # one probe for each point, and one cubic for each point inside the
+    # wedge, none for the others
+    assert calls["_probe"] - tune_calls["_probe"] == len(points) == 61
     assert calls["_cubic_roots"] - tune_calls["_cubic_roots"] == mapped
     assert calls["solve_cubic"] == 2
     assert calls["__call__"] == calls["derivative"] == 0
@@ -614,7 +620,8 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
 
 def _slope(plant, stage1_gains, q):
     phi = w_zeros(stage1_gains).phi
-    return tuner._zeta_slope(plant, stage1_gains, phi, q, *tuner._probe(plant, stage1_gains, phi, q))
+    mapped, roots, _ = tuner._probe(plant, stage1_gains, phi, q)
+    return tuner._zeta_slope(plant, stage1_gains, phi, q, mapped, roots)
 
 
 def _mp_zeta(plant, stage1_gains, q):
@@ -645,8 +652,7 @@ def test_zeta_slope_matches_a_40_digit_derivative():
         slope = _slope(plant, gains, q)
         if slope is None:
             # only once the pair has met the real axis, or the loop is unstable
-            phi = w_zeros(gains).phi
-            reading = pole_placement._dominant_reading(*tuner._probe(plant, gains, phi, q)[1])
+            reading = tuner._probe(plant, gains, w_zeros(gains).phi, q)[2]
             assert reading is None or reading[0] == 1.0, (plant, target, q)
             continue
         with mpmath.workdps(40):
@@ -663,14 +669,32 @@ def test_zeta_slope_is_none_where_its_sign_is_not_certain():
     for m, pair in ((2.0, True), (10.0, False)):
         gains = place_gains(P1.plant, ClosedLoopTarget(1.0, 3.0, m))
         phi = w_zeros(gains).phi
-        mapped, roots = tuner._probe(P1.plant, gains, phi, 1.0)
+        mapped, roots, _ = tuner._probe(P1.plant, gains, phi, 1.0)
         assert any(r.imag != 0.0 for r in roots) is pair
         assert tuner._zeta_slope(P1.plant, gains, phi, 1.0, mapped, roots) is None
 
 
-def test_stride_probes_once_where_the_slope_is_certain_and_twice_where_not(monkeypatch):
-    # the same answer from the slope and from the two-probe rise test it
-    # replaces, which the search still uses where the slope is None
+def test_zeta_slope_keeps_its_value_where_the_modulus_cubed_leaves_the_float_range(monkeypatch):
+    # roots scaled by c and the gain rates (kp', ki', kd') by (1, c, 1/c)
+    # scale s' by 1/c and so the slope by 1/c^2; at c = 1e-110 |s|^3
+    # underflows to 0, and at c = 1e110 it overflows to inf
+    gains = P1.stage1_gains
+    phi = w_zeros(gains).phi
+    mapped, roots, _ = tuner._probe(P1.plant, gains, phi, 0.99)
+    dkp, dki, dkd = tuner._equivalent_rates(gains, phi, 0.99, mapped)
+    base = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, roots)
+    assert base < 0.0
+    for c in (1e-110, 1e-120, 1e110, 1e120):
+        size = c * min(map(abs, roots))  # the modulus of the dominant pair
+        assert size * size * size in (0.0, math.inf)
+        monkeypatch.setattr(tuner, "_equivalent_rates", lambda *args: (dkp, dki * c, dkd / c))
+        slope = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, tuple(c * r for r in roots))
+        assert slope == pytest.approx(base / (c * c), rel=1e-12), c
+
+
+def test_stride_walks_where_the_slope_is_none(monkeypatch):
+    # where the slope's sign is not certain the search walks every order,
+    # which is the answer _reference_search gives, in more probes
     def tune(q_step):
         probes = []
         probe = tuner._probe
@@ -686,10 +710,14 @@ def test_stride_probes_once_where_the_slope_is_certain_and_twice_where_not(monke
     for q_step in (0.001, 0.0002):
         by_slope = tune(q_step)
         monkeypatch.setattr(tuner, "_zeta_slope", lambda *args: None)
-        by_two_probes = tune(q_step)
+        by_walk = tune(q_step)
         monkeypatch.undo()
-        assert by_slope[0] == by_two_probes[0]
-        assert by_slope[1] < by_two_probes[1]
+        q, gains, _ = _reference_search(P1.plant, P1.stage1, 0.93, q_step, False)
+        assert by_slope[0] == by_walk[0] == (q, gains)
+        # the walk probes every order from 1 down to its answer, and at most
+        # the one stride end past it
+        assert by_slope[1] < by_walk[1]
+        assert by_walk[1] - (round((1.0 - q) / q_step) + 1) in (0, 1)
 
 
 # ---------------------------------------------------------------------------
