@@ -9,7 +9,8 @@ All numeric output uses 6 significant digits and is byte-deterministic.
 
 Every command writes each distinct warning once to stderr as
 ``warning: <message>``, before any ``error:`` line. Exit codes: 0 success,
-2 config or precondition error, 3 unstable loop, 4 unreachable damping target.
+2 config or precondition error or an output file that cannot be written, 3
+unstable loop, 4 unreachable damping target.
 """
 
 from __future__ import annotations
@@ -269,14 +270,6 @@ def _apply_preset(name: str, cfg: RunConfig) -> None:
         cfg.desired_zeta = preset["desired_zeta"]
 
 
-# flag dests that override the RunConfig attribute of the same name, in the
-# order they are checked
-_FLAG_ATTRS = (
-    "desired_zeta", "q_from", "q_to", "q_step", "dt", "t_end", "r",
-    "disturbance_amplitude", "disturbance_time", "out",
-)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge preset, config file, and flag overrides, in that order."""
     cfg = RunConfig()
@@ -284,32 +277,24 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         _apply_preset(args.preset, cfg)
     if getattr(args, "config", None):
         _load_config_file(args.config, cfg)
-    # --q-step means the stage-2 search step for tune/simulate and the sweep
-    # step for mcurve
-    q_step_attr = "q_step" if args.command == "mcurve" else "tune_q_step"
-    for flag in _FLAG_ATTRS:
-        value = getattr(args, flag, None)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"--{flag.replace('_', '-')}: not a finite number: {value!r}")
-        if value is not None:
-            setattr(cfg, q_step_attr if flag == "q_step" else flag, value)
-    if getattr(args, "refine", False):
-        cfg.refine = True
-    for flag in ("gains", "gains2"):
-        raw = getattr(args, flag, None)
-        if raw:
-            setattr(cfg, flag, _parse_gains_flag(flag, raw))
+    for flag, attr, commands, kind, _help in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if attr is None or args.command not in commands or value is None or value is False:
+            continue
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{flag}: not a finite number: {value!r}")
+        setattr(cfg, attr, _parse_gains_flag(flag, value) if kind is PidGains else value)
     return cfg
 
 
 def _parse_gains_flag(flag: str, raw: str) -> PidGains:
     parts = raw.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"--{flag} expects kp,ki,kd; got {raw!r}")
+        raise ConfigError(f"{flag} expects kp,ki,kd; got {raw!r}")
     try:
         values = [float(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"--{flag} values are not numbers: {raw!r}") from exc
+        raise ConfigError(f"{flag} values are not numbers: {raw!r}") from exc
     return PidGains(*values)
 
 
@@ -328,17 +313,19 @@ def _require_target(cfg: RunConfig) -> ClosedLoopTarget:
 def _write_text(path: str | None, text: str, out) -> None:
     if path is None:
         out.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_place(args: argparse.Namespace, out) -> int:
-    cfg = resolve_config(args)
+def _cmd_place(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     plant = _require_plant(cfg)
     target = _require_target(cfg)
     gains = place_gains(plant, target)
@@ -383,8 +370,7 @@ def _tune_csv(report: TuningReport) -> str:
     ])
 
 
-def _cmd_tune(args: argparse.Namespace, out) -> int:
-    cfg = resolve_config(args)
+def _cmd_tune(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     plant = _require_plant(cfg)
     target = _require_target(cfg)
     if cfg.desired_zeta is None:
@@ -431,8 +417,7 @@ def _mcurve_csv(points) -> str:
     return _csv(MCURVE_HEADER, rows)
 
 
-def _cmd_mcurve(args: argparse.Namespace, out) -> int:
-    cfg = resolve_config(args)
+def _cmd_mcurve(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     plant = _require_plant(cfg)
     stage1 = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     points = mcurve(plant, stage1, cfg.q_from, cfg.q_to, cfg.q_step)
@@ -465,12 +450,11 @@ def _out_path_for(base: str | None, label: str) -> str | None:
     return f"{base}-{label}"
 
 
-def _cmd_simulate(args: argparse.Namespace, out) -> int:
-    cfg = resolve_config(args)
+def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     plant = _require_plant(cfg)
 
     controllers: list[tuple[str, PidGains]] = []
-    if getattr(args, "compare", False):
+    if args.compare:
         target = _require_target(cfg)
         if cfg.desired_zeta is None:
             raise ConfigError("simulate --compare needs a desired zeta")
@@ -493,7 +477,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         controllers = [("placement", place_gains(plant, target))]
         zeta_scale, omega_scale = target.zeta_cl, target.omega_n_cl
 
-    if getattr(args, "disturb", False) and cfg.disturbance_amplitude == 0.0:
+    if args.disturb and cfg.disturbance_amplitude == 0.0:
         cfg.disturbance_amplitude = DISTURBANCE_FRACTION * cfg.step_amplitude
 
     # horizon and step are sized from the design unless set
@@ -549,8 +533,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
-def _cmd_inverse(args: argparse.Namespace, out) -> int:
-    cfg = resolve_config(args)
+def _cmd_inverse(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     plant = _require_plant(cfg)
     gains = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     pkg = riccati_package(plant, gains, cfg.r)
@@ -570,10 +553,48 @@ def _cmd_inverse(args: argparse.Namespace, out) -> int:
 # argument parsing and entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to an INI config file")
-    parser.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
-    parser.add_argument("--out", help="output path for CSV (default: stdout)")
+# each command's handler and its --help line, in the order they are listed
+_COMMANDS = {
+    "place": (_cmd_place, "pole-placement gains and pole report"),
+    "tune": (_cmd_tune, "two-stage suboptimal tuning report"),
+    "mcurve": (_cmd_mcurve, "fractional-order sweep as CSV"),
+    "simulate": (_cmd_simulate, "closed-loop step response as CSV"),
+    "inverse": (_cmd_inverse, "inverse Riccati package for gains"),
+}
+
+_EVERY = tuple(_COMMANDS)
+
+# Every flag, in the order each command's --help lists it: the flag, the
+# RunConfig attribute it sets (None where the command reads it from args),
+# the commands that take it, its kind and its help text. A float must be
+# finite, a bool is a switch, PidGains is a kp,ki,kd list, str is text.
+_FLAGS = (
+    ("--config", None, _EVERY, str, "path to an INI config file"),
+    ("--preset", None, _EVERY, str, f"named preset ({', '.join(sorted(PRESETS))})"),
+    ("--out", "out", _EVERY, str, "output path for CSV (default: stdout)"),
+    ("--q-from", "q_from", ("mcurve",), float, None),
+    ("--q-to", "q_to", ("mcurve",), float, None),
+    ("--q-step", "q_step", ("mcurve",), float, None),
+    ("--gains", "gains", ("mcurve",), PidGains, "explicit controller gains kp,ki,kd"),
+    ("--gains", "gains", ("simulate", "inverse"), PidGains, "controller gains kp,ki,kd"),
+    ("--gains2", "gains2", ("simulate",), PidGains, "second controller gains kp,ki,kd"),
+    ("--compare", None, ("simulate",), bool,
+     "simulate both two-stage and single-stage designs"),
+    ("--desired-zeta", "desired_zeta", ("tune", "simulate"), float, None),
+    # the stage-2 search step, where for mcurve it is the sweep step
+    ("--q-step", "tune_q_step", ("tune",), float, None),
+    ("--r", "r", ("tune", "inverse"), float, None),
+    ("--refine", "refine", ("tune",), bool, None),
+    ("--dt", "dt", ("simulate",), float, None),
+    ("--t-end", "t_end", ("simulate",), float, None),
+    ("--disturbance-amplitude", "disturbance_amplitude", ("simulate",), float, None),
+    ("--disturbance-time", "disturbance_time", ("simulate",), float, None),
+    ("--disturb", None, ("simulate",), bool,
+     "enable the default load disturbance (half the step, at 0.6 of the horizon)"),
+)
+
+# the argparse keywords of each flag kind
+_KIND_ARGS = {float: {"type": float}, bool: {"action": "store_true"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -583,54 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruction, and fractional-order zero mapping",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_place = sub.add_parser("place", help="pole-placement gains and pole report")
-    _add_common(p_place)
-
-    p_tune = sub.add_parser("tune", help="two-stage suboptimal tuning report")
-    _add_common(p_tune)
-    p_tune.add_argument("--desired-zeta", dest="desired_zeta", type=float)
-    p_tune.add_argument("--q-step", dest="q_step", type=float)
-    p_tune.add_argument("--r", type=float)
-    p_tune.add_argument("--refine", action="store_true")
-
-    p_mcurve = sub.add_parser("mcurve", help="fractional-order sweep as CSV")
-    _add_common(p_mcurve)
-    p_mcurve.add_argument("--q-from", dest="q_from", type=float)
-    p_mcurve.add_argument("--q-to", dest="q_to", type=float)
-    p_mcurve.add_argument("--q-step", dest="q_step", type=float)
-    p_mcurve.add_argument("--gains", help="explicit controller gains kp,ki,kd")
-
-    p_sim = sub.add_parser("simulate", help="closed-loop step response as CSV")
-    _add_common(p_sim)
-    p_sim.add_argument("--gains", help="controller gains kp,ki,kd")
-    p_sim.add_argument("--gains2", help="second controller gains kp,ki,kd")
-    p_sim.add_argument("--compare", action="store_true",
-                       help="simulate both two-stage and single-stage designs")
-    p_sim.add_argument("--desired-zeta", dest="desired_zeta", type=float)
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--t-end", dest="t_end", type=float)
-    p_sim.add_argument("--disturbance-amplitude", dest="disturbance_amplitude", type=float)
-    p_sim.add_argument("--disturbance-time", dest="disturbance_time", type=float)
-    p_sim.add_argument("--disturb", action="store_true",
-                       help="enable the default load disturbance "
-                       "(half the step, at 0.6 of the horizon)")
-
-    p_inv = sub.add_parser("inverse", help="inverse Riccati package for gains")
-    _add_common(p_inv)
-    p_inv.add_argument("--gains", help="controller gains kp,ki,kd")
-    p_inv.add_argument("--r", type=float)
-
+    commands = {name: sub.add_parser(name, help=text) for name, (_run, text) in _COMMANDS.items()}
+    for flag, _attr, names, kind, text in _FLAGS:
+        for name in names:
+            commands[name].add_argument(flag, help=text, **_KIND_ARGS.get(kind, {}))
     return parser
-
-
-_COMMANDS = {
-    "place": _cmd_place,
-    "tune": _cmd_tune,
-    "mcurve": _cmd_mcurve,
-    "simulate": _cmd_simulate,
-    "inverse": _cmd_inverse,
-}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -648,8 +626,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         try:
-            _q_flags_valid(args)
-            code = _COMMANDS[args.command](args, out)
+            run, _help = _COMMANDS[args.command]
+            code = run(resolve_config(args), args, out)
             out.flush()
         except BrokenPipeError:
             # the reader closed stdout early, as `fracpid ... | head` does: end
@@ -672,12 +650,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
     return code
-
-
-def _q_flags_valid(args: argparse.Namespace) -> None:
-    step = getattr(args, "q_step", None)
-    if step is not None and step <= 0.0:
-        raise ConfigError("q step must be positive")
 
 
 if __name__ == "__main__":

@@ -350,10 +350,14 @@ def integrate_fixed_step(
     One step is the exponential of ``[[a, c], [0, 0]] * dt`` (Van Loan 1978);
     rows ``[h, 2h)`` are rows ``[0, h)`` times the ``h``-step matrix. Returns
     ``(t, states)`` with ``floor(t_end/dt) + 1`` samples, one row each.
-    Raises NonFiniteState if any sample is not finite.
+    Raises ValueError unless ``t_end`` and ``dt`` are finite, and
+    NonFiniteState if any sample is not finite.
     """
     import numpy as np
 
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if t_end < dt:

@@ -487,6 +487,16 @@ def test_integrate_rejects_bad_steps():
         integrate_fixed_step([[-1.0]], [0.0], [1.0], 0.05, 0.1)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt, name",
+    [(math.inf, 0.1, "t_end"), (math.nan, 0.1, "t_end"), (1.0, math.nan, "dt")],
+    ids=["t_end=inf", "t_end=nan", "dt=nan"],
+)
+def test_integrate_rejects_non_finite_horizon_and_step(t_end, dt, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_fixed_step([[-1.0]], [0.0], [1.0], t_end, dt)
+
+
 def test_integrate_trajectory_length():
     t, states = integrate_fixed_step([[-1.0]], [0.0], [1.0], 0.55, 0.1)
     assert len(t) == 6 and states.shape[0] == 6
