@@ -343,9 +343,9 @@ def _cmd_place(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         ("real pole", report.real_pole),
         ("dominance ratio", report.dominance_ratio),
     ])
-    out.write(text)
     if cfg.out is not None:
         _write_text(cfg.out, text, out)
+    out.write(text)
     return EXIT_OK
 
 
@@ -383,6 +383,8 @@ def _cmd_tune(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         r=cfg.r,
         refine=cfg.refine,
     )
+    if cfg.out is not None:
+        _write_text(cfg.out, _tune_csv(report), out)
     out.write(_render([
         ("plant", plant),
         ("stage 1 target", target),
@@ -399,8 +401,6 @@ def _cmd_tune(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         ("initial control (single-stage)", report.initial_control_lqr),
         ("initial control (suboptimal)", report.initial_control_subopt),
     ]))
-    if cfg.out is not None:
-        _write_text(cfg.out, _tune_csv(report), out)
     return EXIT_OK
 
 
@@ -517,18 +517,19 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     })]
     for label, gains, _trace, m in results:
         record += [(f"controller ({label})", gains), (f"metrics ({label})", _fields(m))]
+    # the trace files before stdout, so that a path that cannot be written
+    # leaves stdout empty
+    paths = [cfg.out] if len(results) == 1 else [_out_path_for(cfg.out, label) for label, *_ in results]
+    for path, (_label, _gains, trace, _m) in zip(paths, results):
+        if path is not None:
+            _write_text(path, _trace_csv(trace), out)
     out.write(_render(record))
-
-    if len(results) == 1:
-        _write_text(cfg.out, _trace_csv(results[0][2]), out)
-    else:
-        for label, _gains, trace, _m in results:
-            path = _out_path_for(cfg.out, label)
-            if path is None:
+    for path, (label, _gains, trace, _m) in zip(paths, results):
+        if path is None:
+            if len(results) > 1:
                 out.write(f"trace ({label}):\n")
-                out.write(_trace_csv(trace))
-            else:
-                _write_text(path, _trace_csv(trace), out)
+            out.write(_trace_csv(trace))
+    if len(results) > 1:
         out.write(_render([("comparison (first/second)", comparison)]))
     return EXIT_OK
 
@@ -543,9 +544,9 @@ def _cmd_inverse(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         *_riccati_entries("inverse", pkg),
         ("care residual", pkg.care_residual),
     ])
-    out.write(text)
     if cfg.out is not None:
         _write_text(cfg.out, text, out)
+    out.write(text)
     return EXIT_OK
 
 

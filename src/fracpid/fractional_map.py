@@ -152,33 +152,36 @@ def equivalent_pid(gains: PidGains, q: float) -> PidGains:
     negative, so all three equivalent gains come out positive. Raises
     ValueError when a mapped gain overflows the float range.
     """
-    return _equivalent_at(gains, _phi_in_wedge(gains, q), q)
+    return PidGains(*_gain_map(gains, _phi_in_wedge(gains, q))(q))
 
 
-def _equivalent_at(gains: PidGains, phi: float, q: float) -> PidGains:
-    # equivalent_pid of gains whose w-plane angle phi is under-damped at q
-    return PidGains(*_equivalent_gains(gains, phi, q))
+def _gain_map(gains: PidGains, phi: float):
+    # q -> the (kp, ki, kd) of equivalent_pid as bare floats, for gains whose
+    # w-plane angle phi is under-damped at q, with the gains and phi read
+    # once; ValueError on overflow
+    ki, kd = gains.ki, gains.kd
+    kikd = ki * kd
 
+    def mapped(q: float) -> tuple[float, float, float]:
+        try:
+            kp_q = -2.0 * kikd ** (1.0 / (2.0 * q)) * math.cos(phi / q)
+            ki_q = ki ** (1.0 / q)
+            kd_q = kd ** (1.0 / q)
+            if not (math.isfinite(kp_q) and math.isfinite(ki_q) and math.isfinite(kd_q)):
+                # finite gains map to a non-finite one only by overflow: ki*kd
+                # past the float range, or a power that rounds to inf
+                raise OverflowError
+        except OverflowError as exc:
+            raise ValueError(f"equivalent gains of {gains} overflow at q={q:g}") from exc
+        return kp_q, ki_q, kd_q
 
-def _equivalent_gains(gains: PidGains, phi: float, q: float) -> tuple[float, float, float]:
-    # (kp, ki, kd) of _equivalent_at as bare floats; ValueError on overflow
-    try:
-        kp = -2.0 * (gains.ki * gains.kd) ** (1.0 / (2.0 * q)) * math.cos(phi / q)
-        ki = gains.ki ** (1.0 / q)
-        kd = gains.kd ** (1.0 / q)
-        if not (math.isfinite(kp) and math.isfinite(ki) and math.isfinite(kd)):
-            # finite gains map to a non-finite one only by overflow: ki*kd
-            # past the float range, or a power that rounds to inf
-            raise OverflowError
-    except OverflowError as exc:
-        raise ValueError(f"equivalent gains of {gains} overflow at q={q:g}") from exc
-    return kp, ki, kd
+    return mapped
 
 
 def _equivalent_rates(
     gains: PidGains, phi: float, q: float, mapped: tuple[float, float, float]
 ) -> tuple[float, float, float]:
-    # d/dq of the gains _equivalent_gains(gains, phi, q) maps to, from that
+    # d/dq of the gains _gain_map(gains, phi) maps q to, from that
     # result: with a = (ki*kd)^(1/2q) = sqrt(ki(q)*kd(q)),
     #   kp(q) = -2a*cos(phi/q), so kp' = -(kp*ln(ki*kd)/2 + 2a*phi*sin(phi/q))/q^2,
     #   ki(q) = ki^(1/q), so ki' = -ki(q)*ln(ki)/q^2, and kd' alike

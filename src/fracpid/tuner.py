@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .fractional_map import (
     WedgeClass,
-    _equivalent_gains,
+    _check_q,
     _equivalent_rates,
+    _gain_map,
     _s_zero_at,
     classify_wedge,
     w_zeros,
@@ -27,7 +28,6 @@ from .pole_placement import (
     ClosedLoopTarget,
     PidGains,
     Plant,
-    _closed_loop_coefficients,
     _dominant_reading,
     place_gains,
 )
@@ -123,38 +123,29 @@ def _grid_size(q_from: float, q_to: float, q_step: float) -> int:
     return int(steps) + 1
 
 
-def _probe(
-    plant: Plant, stage1_gains: PidGains, phi: float, q: float
-) -> tuple[
-    tuple[float, float, float],
-    tuple[complex, complex, complex],
-    tuple[float, float, float] | None,
-] | None:
-    # the probe core, on bare floats: None where the zeros leave the
-    # under-damped wedge at q (phi the stage-1 w-plane zero angle), else the
+def _prober(plant: Plant, stage1_gains: PidGains, phi: float):
+    # the probe core bound to one design, phi its stage-1 w-plane zero angle:
+    # q -> None where the zeros leave the under-damped wedge at q, else the
     # equivalent gains (kp, ki, kd), the closed-loop roots they give, sorted
     # as solve_cubic sorts them, and the dominant reading of those roots,
-    # None where the loop is unstable; one cubic, no PidGains or report built
-    # and no warning, since dominance belongs to designs
-    if classify_wedge(phi, q) is not WedgeClass.UNDER_DAMPED:
-        return None
-    gains = _equivalent_gains(stage1_gains, phi, q)
-    roots = _cubic_roots(*_closed_loop_coefficients(plant, *gains))
-    return gains, roots, _dominant_reading(*roots)
+    # None where the loop is unstable. The plant, edge and gains are read
+    # once; a probe solves one cubic on bare floats and builds no PidGains or
+    # report and warns nothing, since dominance belongs to designs
+    k, zo, wo = plant.k, plant.zeta_ol, plant.omega_n_ol
+    a2, a1 = 2.0 * zo * wo, wo * wo  # the plant's terms of _closed_loop_coefficients
+    edge = phi / math.pi
+    edge2 = 2.0 * edge
+    gain_map = _gain_map(stage1_gains, phi)
 
+    def probe(q):
+        _check_q(q)
+        if not edge < q < edge2:  # classify_wedge's under-damped test
+            return None
+        gains = kp, ki, kd = gain_map(q)
+        roots = _cubic_roots(1.0, a2 + k * kd, a1 + k * kp, k * ki)
+        return gains, roots, _dominant_reading(*roots)
 
-def _point(plant: Plant, stage1_gains: PidGains, phi: float, q: float) -> MCurvePoint:
-    # one M-curve point without its s-plane zero: the dominant pole as
-    # closed_loop_poles reads it, from the probed roots
-    found = _probe(plant, stage1_gains, phi, q)
-    if found is None:
-        return MCurvePoint(q, classify_wedge(phi, q), False)
-    gains, _, reading = found
-    if reading is None:
-        return MCurvePoint(q, WedgeClass.UNDER_DAMPED, False, PidGains(*gains))
-    return MCurvePoint(
-        q, WedgeClass.UNDER_DAMPED, True, PidGains(*gains), None, reading[0], reading[1]
-    )
+    return probe
 
 
 def _zeta_slope(
@@ -166,7 +157,7 @@ def _zeta_slope(
     roots: tuple[complex, complex, complex],
 ) -> float | None:
     # d(zeta)/dq of the dominant pair at order q, from the gains and roots
-    # _probe found there, with no second cubic. The loop coefficients are
+    # the probe found there, with no second cubic. The loop coefficients are
     # affine in the mapped gains, so at a simple root s of the monic cubic p
     # implicit differentiation gives s' = -k(kd' s^2 + kp' s + ki')/p'(s),
     # with p'(s) = (s - a)(s - b) over the other two roots a, b. With
@@ -210,12 +201,19 @@ def mcurve(
     mapping or the loop fails.
     """
     phi = w_zeros(stage1_gains).phi
+    probe = _prober(plant, stage1_gains, phi)
     points = []
     for q in q_grid(q_from, q_to, q_step):
-        point = _point(plant, stage1_gains, phi, q)
-        if point.equivalent_gains is not None:
-            point.s_zero = _s_zero_at(stage1_gains, phi, q)
-        points.append(point)
+        found = probe(q)
+        if found is None:
+            points.append(MCurvePoint(q, classify_wedge(phi, q), False))
+            continue
+        gains, _, reading = found
+        zeta, omega = reading[:2] if reading else (None, None)
+        points.append(MCurvePoint(
+            q, WedgeClass.UNDER_DAMPED, reading is not None, PidGains(*gains),
+            _s_zero_at(stage1_gains, phi, q), zeta, omega,
+        ))
     return points
 
 
@@ -266,6 +264,7 @@ def two_stage_tune(
 
     stage1_gains = place_gains(plant, stage1_target)
     phi = w_zeros(stage1_gains).phi
+    probe = _prober(plant, stage1_gains, phi)
 
     zeta_floor = desired_zeta - ZETA_SLACK
     # the q_grid from 1 down to phi/pi, whose point k is 1 - k*q_step; at fine
@@ -280,7 +279,7 @@ def two_stage_tune(
         # walk reaches k
         if k not in seen:
             try:
-                found = _probe(plant, stage1_gains, phi, 1.0 - k * q_step)
+                found = probe(1.0 - k * q_step)
                 seen[k] = None if found is None or found[2] is None else found
             except Exception as exc:
                 seen[k] = exc
@@ -322,7 +321,7 @@ def two_stage_tune(
     if refine:
         for half in (0.5 * q_step, 0.25 * q_step):
             if chosen_q + half <= 1.0:
-                candidate = _probe(plant, stage1_gains, phi, chosen_q + half)
+                candidate = probe(chosen_q + half)
                 if candidate and candidate[2] and candidate[2][0] >= zeta_floor:
                     chosen_q, chosen = chosen_q + half, candidate
 

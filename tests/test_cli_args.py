@@ -128,8 +128,9 @@ def run_cli(argv):
 )
 def test_unwritable_out_exits_2_without_a_traceback(argv, tmp_path):
     path = tmp_path / "missing" / "x.csv"
-    code, _, err = run_cli([*argv, "--out", str(path)])
+    code, text, err = run_cli([*argv, "--out", str(path)])
     assert code == 2
+    assert text == ""  # every output file is written before the report
     assert err.startswith("error: cannot write output file: ")
     assert str(tmp_path / "missing") in err
     assert "Traceback" not in err

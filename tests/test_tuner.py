@@ -395,19 +395,29 @@ class _ProbeFault(Exception):
     """Raised by a patched stage-2 probe, carrying the order it was asked for."""
 
 
+def _wrap_probes(monkeypatch, wrap):
+    """Patch the probe core, tuner._prober, so that the probe it binds for
+    each design is wrap(probe)."""
+    prober = tuner._prober
+    monkeypatch.setattr(tuner, "_prober", lambda *design: wrap(prober(*design)))
+
+
 def _probe_raising(monkeypatch, raises_at):
-    """Patch the probe core, tuner._probe, which every stage-2 order goes
-    through, wedge check included, to raise _ProbeFault(q) wherever raises_at(q) holds; returns
-    the list of orders it raised at."""
-    probe, raised = tuner._probe, []
+    """Patch the bound probe, which every stage-2 order goes through, wedge
+    check included, to raise _ProbeFault(q) wherever raises_at(q) holds;
+    returns the list of orders it raised at."""
+    raised = []
 
-    def patched(plant, stage1_gains, phi, q):
-        if raises_at(q):
-            raised.append(q)
-            raise _ProbeFault(q)
-        return probe(plant, stage1_gains, phi, q)
+    def wrap(probe):
+        def raising(q):
+            if raises_at(q):
+                raised.append(q)
+                raise _ProbeFault(q)
+            return probe(q)
 
-    monkeypatch.setattr(tuner, "_probe", patched)
+        return raising
+
+    _wrap_probes(monkeypatch, wrap)
     return raised
 
 
@@ -586,10 +596,18 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     for owner, name in (
         (pole_placement, "solve_cubic"),
         (tuner, "_cubic_roots"),
-        (tuner, "_probe"),
         (tuner, "_zeta_slope"),
     ):
         monkeypatch.setattr(owner, name, counted(owner, name))
+
+    def counted_probe(probe):
+        def wrapper(q):
+            calls["_probe"] += 1
+            return probe(q)
+
+        return wrapper
+
+    _wrap_probes(monkeypatch, counted_probe)
     for name in ("__call__", "derivative"):
         monkeypatch.setattr(Cubic, name, counted(Cubic, name))
 
@@ -614,13 +632,47 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     assert calls["__call__"] == calls["derivative"] == 0
 
 
+def test_each_call_binds_one_probe_and_reads_the_zero_angle_once(monkeypatch):
+    calls = Counter()
+    prober, zeros = tuner._prober, tuner.w_zeros
+
+    def bind(*design):
+        calls["_prober"] += 1
+        return prober(*design)
+
+    def read(gains):
+        calls["w_zeros"] += 1
+        return zeros(gains)
+
+    monkeypatch.setattr(tuner, "_prober", bind)
+    monkeypatch.setattr(tuner, "w_zeros", read)
+    two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=0.0002, refine=True)
+    assert calls == {"_prober": 1, "w_zeros": 1}
+    mcurve(P1.plant, P1.stage1_gains, 1.3, 0.7, 0.01)
+    assert calls == {"_prober": 2, "w_zeros": 2}
+
+
+def test_the_bound_probe_raises_what_equivalent_pid_raises():
+    # ki*kd = 1e400 overflows inside the wedge, which spans q in (~0.5, ~1)
+    gains = PidGains(1e3, 1e200, 1e200)
+    probe = tuner._prober(P1.plant, gains, w_zeros(gains).phi)
+    for q in (0.6, 0.7):
+        raised = _outcome(lambda: probe(q))
+        assert raised == _outcome(lambda: equivalent_pid(gains, q))
+        assert raised[0] is ValueError and raised[1].endswith(f"overflow at q={q}")
+    for q in (0.0, -0.5, 2.5, math.inf, math.nan):
+        raised = _outcome(lambda: probe(q))
+        assert raised == _outcome(lambda: equivalent_pid(gains, q))
+        assert raised == (ValueError, f"fractional order q={q!r} outside (0, 2]")
+
+
 # ---------------------------------------------------------------------------
 # the closed-form slope of the dominant damping
 # ---------------------------------------------------------------------------
 
 def _slope(plant, stage1_gains, q):
     phi = w_zeros(stage1_gains).phi
-    mapped, roots, _ = tuner._probe(plant, stage1_gains, phi, q)
+    mapped, roots, _ = tuner._prober(plant, stage1_gains, phi)(q)
     return tuner._zeta_slope(plant, stage1_gains, phi, q, mapped, roots)
 
 
@@ -652,7 +704,7 @@ def test_zeta_slope_matches_a_40_digit_derivative():
         slope = _slope(plant, gains, q)
         if slope is None:
             # only once the pair has met the real axis, or the loop is unstable
-            reading = tuner._probe(plant, gains, w_zeros(gains).phi, q)[2]
+            reading = tuner._prober(plant, gains, w_zeros(gains).phi)(q)[2]
             assert reading is None or reading[0] == 1.0, (plant, target, q)
             continue
         with mpmath.workdps(40):
@@ -669,7 +721,7 @@ def test_zeta_slope_is_none_where_its_sign_is_not_certain():
     for m, pair in ((2.0, True), (10.0, False)):
         gains = place_gains(P1.plant, ClosedLoopTarget(1.0, 3.0, m))
         phi = w_zeros(gains).phi
-        mapped, roots, _ = tuner._probe(P1.plant, gains, phi, 1.0)
+        mapped, roots, _ = tuner._prober(P1.plant, gains, phi)(1.0)
         assert any(r.imag != 0.0 for r in roots) is pair
         assert tuner._zeta_slope(P1.plant, gains, phi, 1.0, mapped, roots) is None
 
@@ -680,7 +732,7 @@ def test_zeta_slope_keeps_its_value_where_the_modulus_cubed_leaves_the_float_ran
     # underflows to 0, and at c = 1e110 it overflows to inf
     gains = P1.stage1_gains
     phi = w_zeros(gains).phi
-    mapped, roots, _ = tuner._probe(P1.plant, gains, phi, 0.99)
+    mapped, roots, _ = tuner._prober(P1.plant, gains, phi)(0.99)
     dkp, dki, dkd = tuner._equivalent_rates(gains, phi, 0.99, mapped)
     base = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, roots)
     assert base < 0.0
@@ -697,13 +749,15 @@ def test_stride_walks_where_the_slope_is_none(monkeypatch):
     # which is the answer _reference_search gives, in more probes
     def tune(q_step):
         probes = []
-        probe = tuner._probe
 
-        def counted(plant, stage1_gains, phi, q):
-            probes.append(q)
-            return probe(plant, stage1_gains, phi, q)
+        def wrap(probe):
+            def counted(q):
+                probes.append(q)
+                return probe(q)
 
-        monkeypatch.setattr(tuner, "_probe", counted)
+            return counted
+
+        _wrap_probes(monkeypatch, wrap)
         report = two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=q_step)
         return (report.chosen_q, report.suboptimal_gains), len(probes)
 
@@ -732,6 +786,18 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _point(plant, gains, phi, q):
+    """One M-curve point as mcurve builds it from the bound probe, without
+    its s-plane zero."""
+    found = tuner._prober(plant, gains, phi)(q)
+    if found is None:
+        return tuner.MCurvePoint(q, classify_wedge(phi, q), False)
+    mapped, _, reading = found
+    if reading is None:
+        return tuner.MCurvePoint(q, WedgeClass.UNDER_DAMPED, False, PidGains(*mapped))
+    return tuner.MCurvePoint(q, WedgeClass.UNDER_DAMPED, True, PidGains(*mapped), None, *reading[:2])
+
+
 def test_probe_reads_what_closed_loop_poles_reads_at_any_scale():
     rng = random.Random(7)
 
@@ -751,7 +817,7 @@ def test_probe_reads_what_closed_loop_poles_reads_at_any_scale():
             continue
         q = min(2.0, phi / math.pi * rng.uniform(0.9, 2.1))
 
-        probed = _outcome(lambda: tuner._point(plant, gains, phi, q))
+        probed = _outcome(lambda: _point(plant, gains, phi, q))
         mapped = _outcome(lambda: equivalent_pid(gains, q))
         if isinstance(mapped, tuple):
             if mapped[0] is OutsideWedge:
