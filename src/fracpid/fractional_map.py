@@ -178,19 +178,23 @@ def _gain_map(gains: PidGains, phi: float):
     return mapped
 
 
-def _equivalent_rates(
-    gains: PidGains, phi: float, q: float, mapped: tuple[float, float, float]
-) -> tuple[float, float, float]:
-    # d/dq of the gains _gain_map(gains, phi) maps q to, from that
-    # result: with a = (ki*kd)^(1/2q) = sqrt(ki(q)*kd(q)),
+def _rate_map(gains: PidGains, phi: float):
+    # (q, mapped) -> d/dq of the gains _gain_map(gains, phi) maps q to, from
+    # that result, with the logs of ki and kd taken once: with
+    # a = (ki*kd)^(1/2q) = sqrt(ki(q)*kd(q)),
     #   kp(q) = -2a*cos(phi/q), so kp' = -(kp*ln(ki*kd)/2 + 2a*phi*sin(phi/q))/q^2,
     #   ki(q) = ki^(1/q), so ki' = -ki(q)*ln(ki)/q^2, and kd' alike
-    kp, ki, kd = mapped
     log_ki, log_kd = math.log(gains.ki), math.log(gains.kd)
-    qq = q * q
-    a = math.sqrt(ki) * math.sqrt(kd)
-    return (
-        -(0.5 * kp * (log_ki + log_kd) + 2.0 * a * phi * math.sin(phi / q)) / qq,
-        -ki * log_ki / qq,
-        -kd * log_kd / qq,
-    )
+    log_kikd = log_ki + log_kd
+
+    def rates(q: float, mapped: tuple[float, float, float]) -> tuple[float, float, float]:
+        kp, ki, kd = mapped
+        qq = q * q
+        a = math.sqrt(ki) * math.sqrt(kd)
+        return (
+            -(0.5 * kp * log_kikd + 2.0 * a * phi * math.sin(phi / q)) / qq,
+            -ki * log_ki / qq,
+            -kd * log_kd / qq,
+        )
+
+    return rates

@@ -235,16 +235,29 @@ def solve_cubic(c: Cubic) -> RootTriple:
     from the constant end, and under a largest pair the real root is the
     product of the roots over the pair's.
 
+    The common case, inside the window with one real root and a complex
+    pair and no retake, runs in one straight path on floats, with no helper
+    call or complex temporary. Each of its operations rounds as Python's
+    complex arithmetic would, so its roots are those of that spelling, bit
+    for bit.
+
     Raises DegenerateLeadingCoefficient only when the leading coefficient
     is zero, when the roots span more than the float range (a nonzero a1 or
-    a0 scales below the normal floats), or when a root lies beyond it.
+    a0 falls below the normal floats once scaled; the message names it), or
+    when a root lies beyond it.
     """
     return RootTriple(_cubic_roots(c.a3, c.a2, c.a1, c.a0))
 
 
 def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, complex, complex]:
-    # solve_cubic on bare coefficients: the sorted root tuple
-    e = _rescale_exponent(a3, a2, a1, a0, max(abs(a3), abs(a2), abs(a1), abs(a0)))
+    # solve_cubic on bare coefficients: the sorted root tuple. Inside the
+    # window, one real root and a complex pair run through with no helper
+    # call. The gate is _rescale_exponent's without its call or max; where
+    # only this one fails (on a NaN that max passes over), that returns 0
+    m3, e = abs(a3), 0
+    top = _RATIO_HI * m3
+    if not (_RATIO_LO * m3 <= abs(a2) < top and abs(a1) < top and abs(a0) < top):
+        e = _rescale_exponent(a3, a2, a1, a0, max(m3, abs(a2), abs(a1), abs(a0)))
     if e or not 1.0 <= a3 < 2.0:
         if a3 == 0.0:
             raise DegenerateLeadingCoefficient(f"leading coefficient {a3!r} is zero")
@@ -253,10 +266,12 @@ def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, c
         lead = 1 - math.frexp(a3)[1]
         a3, a2, a1, a0 = (math.ldexp(a, lead - k * e) for k, a in enumerate((a3, a2, a1, a0)))
         # the smaller roots are taken from a1 and a0
-        if (given[1] and abs(a1) < _NORMAL_MIN) or (given[2] and abs(a0) < _NORMAL_MIN):
-            raise DegenerateLeadingCoefficient(
-                f"leading coefficient {given[0]!r} is negligible: the roots span more than the float range"
-            )
+        for name, value, scaled in (("a1", given[1], a1), ("a0", given[2], a0)):
+            if value and abs(scaled) < _NORMAL_MIN:
+                raise DegenerateLeadingCoefficient(
+                    f"the roots span more than the float range: {name}={value!r} falls below "
+                    f"the normal floats once the cubic is scaled to its largest root"
+                )
 
     b = a2 / a3
     c1 = a1 / a3
@@ -284,12 +299,57 @@ def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, c
             anchor, gap = (t1, g1) if g1 > g0 else (t0, g0)
             if min(abs(t2 - t0), abs(t2 - t1)) > gap:
                 anchor = t2
-        anchor = _polish_real(a3, a2, a1, a0, anchor)
-        lo, hi = _deflated_pair(a3, a2, a1, a0, anchor)
+        # _polish_real's two steps and _deflated_pair's leading-end division
+        f = ((a3 * anchor + a2) * anchor + a1) * anchor + a0
+        best = abs(f)
+        for _ in range(2):
+            d = (3.0 * a3 * anchor + 2.0 * a2) * anchor + a1
+            if d == 0.0:
+                break
+            x = anchor - f / d
+            if not math.isfinite(x):
+                break
+            f = ((a3 * x + a2) * x + a1) * x + a0
+            if abs(f) >= best:
+                break
+            anchor, best = x, abs(f)
+        b1 = a2 + anchor * a3
+        b0 = a1 + anchor * b1
+        disc = b1 * b1 - 4.0 * a3 * b0
+        if disc < 0.0:
+            # the upper root x + iy, y > 0, and its guarded Newton step on
+            # floats, rounded op by op as CPython's complex arithmetic rounds
+            # them (Smith's quotient; abs by libm hypot, which math.hypot is
+            # not), less the zero terms that cannot change a bit
+            x, y = -b1 / (2.0 * a3), math.sqrt(-disc) / (2.0 * abs(a3))
+            br, bi = a3 * x + a2, a3 * y
+            cr, ci = br * x - bi * y + a1, br * y + bi * x + 0.0
+            fr, fi = cr * x - ci * y + a0, cr * y + ci * x + 0.0
+            br, bi = 3.0 * a3 * x + 2.0 * a2, 3.0 * a3 * y
+            dr, di = br * x - bi * y + a1, br * y + bi * x + 0.0
+            if dr != 0.0 or di != 0.0:
+                if abs(dr) >= abs(di):
+                    t = di / dr
+                    nr, ni, den = fr + fi * t, fi - fr * t, dr + di * t
+                else:
+                    t = dr / di
+                    nr, ni, den = fr * t + fi, fi * t - fr, dr * t + di
+                wr, wi = x - nr / den, y - ni / den
+                # f(w) feeds only abs, where no zero sign counts; a non-finite
+                # w makes |f(w)| inf or NaN, which fails the test
+                br, bi = a3 * wr + a2, a3 * wi
+                cr, ci = br * wr - bi * wi + a1, br * wi + bi * wr
+                if abs(complex(cr * wr - ci * wi + a0, cr * wi + ci * wr)) < abs(complex(fr, fi)):
+                    x, y = wr, wi
+            hi = complex(x, abs(y))
+            lo = hi.conjugate()
+        else:
+            lo, hi = _deflated_pair(a3, a2, a1, a0, anchor)
         # rounding so far scales with the largest root: where it outweighs the
         # smallest by more than _SPREAD, take the smaller ones again from it
-        ma, ml, mh = abs(anchor), abs(lo), abs(hi)
+        ma, mh = abs(anchor), abs(hi)
         if lo.imag == 0.0:  # a real pair comes larger root first
+            ml = abs(lo)
             if (ma if ma > ml else ml) > _SPREAD * (ma if ma < mh else mh):  # max, min without calls
                 anchor = anchor if ma >= ml else lo.real
                 lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
@@ -299,21 +359,18 @@ def _cubic_roots(a3: float, a2: float, a1: float, a0: float) -> tuple[complex, c
             lo, hi = _deflated_pair(a3, a2, a1, a0, anchor, from_constant=True)
         real = complex(anchor, 0.0)
         if lo.imag == 0.0:
-            roots = sorted((real, lo, hi), key=lambda z: (abs(z.real), z.imag))
-        elif abs(anchor) < abs(lo.real):  # a conjugate pair: order by |Re|, then Im
-            roots = real, lo, hi
-        elif abs(anchor) > abs(lo.real):
-            roots = lo, hi, real
-        else:
-            roots = lo, real, hi
+            roots = tuple(sorted((real, lo, hi), key=lambda z: (abs(z.real), z.imag)))
+        else:  # a conjugate pair: order by |Re|, then Im
+            ma, mx = abs(anchor), abs(lo.real)
+            roots = (real, lo, hi) if ma < mx else (lo, hi, real) if ma > mx else (lo, real, hi)
     if e:
         try:
-            roots = [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in roots]
+            roots = tuple([complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in roots])
         except OverflowError:
             raise DegenerateLeadingCoefficient(
                 f"leading coefficient {given[0]!r} is negligible: a root lies beyond the float range"
             ) from None
-    return tuple(roots)
+    return roots
 
 
 def eig_sym3(m: Sym3) -> tuple[float, float, float]:

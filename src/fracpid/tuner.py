@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .fractional_map import (
     WedgeClass,
     _check_q,
-    _equivalent_rates,
     _gain_map,
+    _rate_map,
     _s_zero_at,
     classify_wedge,
     w_zeros,
@@ -148,6 +148,47 @@ def _prober(plant: Plant, stage1_gains: PidGains, phi: float):
     return probe
 
 
+def _sloper(plant: Plant, stage1_gains: PidGains, phi: float):
+    # d(zeta)/dq bound to one design, as _prober binds the probe: (q, gains,
+    # roots) -> the slope of the dominant pair at order q, from the gains and
+    # roots the probe found there, with no second cubic. The plant's k and
+    # the logs of the stage-1 ki and kd are read once. The loop coefficients
+    # are affine in the mapped gains, so at a simple root s of the monic
+    # cubic p implicit differentiation gives s' = -k(kd' s^2 + kp' s + ki')/p'(s),
+    # with p'(s) = (s - a)(s - b) over the other two roots a, b. With
+    # s = |s|(u + jv), zeta = -u and zeta' = (u v y' - v^2 x')/|s|, read in
+    # unit-modulus terms so that no scale underflows. None where the sign is
+    # not certain: a real dominant root, or a root separation, numerator or
+    # slope within SLOPE_RTOL of 0 against the terms it sums
+    k = plant.k
+    rates = _rate_map(stage1_gains, phi)
+
+    def slope(
+        q: float, gains: tuple[float, float, float], roots: tuple[complex, complex, complex]
+    ) -> float | None:
+        r0, r1, r2 = roots
+        s, a, b = (r2, r0, r1) if r2.imag != 0.0 else (r1, r0, r2)
+        if s.imag == 0.0:
+            return None
+        size = abs(s)
+        if not (
+            abs(s - a) > SLOPE_RTOL * (size + abs(a)) and abs(s - b) > SLOPE_RTOL * (size + abs(b))
+        ):
+            return None
+        dkp, dki, dkd = rates(q, gains)
+        num = k * (dkd * s * s + dkp * s + dki)
+        if not abs(num) > SLOPE_RTOL * abs(k) * (abs(dkd) * size * size + abs(dkp) * size + abs(dki)):
+            return None
+        ds = -num / ((s - a) * (s - b))
+        u, v = s.real / size, s.imag / size
+        top = u * v * ds.imag - v * v * ds.real
+        if not abs(top) > SLOPE_RTOL * abs(v) * (abs(u) + abs(v)) * abs(ds):
+            return None
+        return top / size
+
+    return slope
+
+
 def _zeta_slope(
     plant: Plant,
     stage1_gains: PidGains,
@@ -156,35 +197,8 @@ def _zeta_slope(
     gains: tuple[float, float, float],
     roots: tuple[complex, complex, complex],
 ) -> float | None:
-    # d(zeta)/dq of the dominant pair at order q, from the gains and roots
-    # the probe found there, with no second cubic. The loop coefficients are
-    # affine in the mapped gains, so at a simple root s of the monic cubic p
-    # implicit differentiation gives s' = -k(kd' s^2 + kp' s + ki')/p'(s),
-    # with p'(s) = (s - a)(s - b) over the other two roots a, b. With
-    # s = |s|(u + jv), zeta = -u and zeta' = (u v y' - v^2 x')/|s|, read in
-    # unit-modulus terms so that no scale underflows. None where the sign is
-    # not certain: a real dominant root, or a root separation, numerator or
-    # slope within SLOPE_RTOL of 0 against the terms it sums
-    r0, r1, r2 = roots
-    s, a, b = (r2, r0, r1) if r2.imag != 0.0 else (r1, r0, r2)
-    if s.imag == 0.0:
-        return None
-    size = abs(s)
-    if not (
-        abs(s - a) > SLOPE_RTOL * (size + abs(a)) and abs(s - b) > SLOPE_RTOL * (size + abs(b))
-    ):
-        return None
-    dkp, dki, dkd = _equivalent_rates(stage1_gains, phi, q, gains)
-    k = plant.k
-    num = k * (dkd * s * s + dkp * s + dki)
-    if not abs(num) > SLOPE_RTOL * abs(k) * (abs(dkd) * size * size + abs(dkp) * size + abs(dki)):
-        return None
-    ds = -num / ((s - a) * (s - b))
-    u, v = s.real / size, s.imag / size
-    top = u * v * ds.imag - v * v * ds.real
-    if not abs(top) > SLOPE_RTOL * abs(v) * (abs(u) + abs(v)) * abs(ds):
-        return None
-    return top / size
+    # the slope at one probe of a design not bound by _sloper
+    return _sloper(plant, stage1_gains, phi)(q, gains, roots)
 
 
 def mcurve(
@@ -265,6 +279,7 @@ def two_stage_tune(
     stage1_gains = place_gains(plant, stage1_target)
     phi = w_zeros(stage1_gains).phi
     probe = _prober(plant, stage1_gains, phi)
+    slope_at = _sloper(plant, stage1_gains, phi)
 
     zeta_floor = desired_zeta - ZETA_SLACK
     # the q_grid from 1 down to phi/pi, whose point k is 1 - k*q_step; at fine
@@ -291,7 +306,7 @@ def two_stage_tune(
         found = look(j)
         if not (isinstance(found, tuple) and found[2][0] < zeta_floor):
             return False
-        slope = _zeta_slope(plant, stage1_gains, phi, 1.0 - j * q_step, *found[:2])
+        slope = slope_at(1.0 - j * q_step, *found[:2])
         return slope is not None and slope < 0.0
 
     i = stop = 0  # the walk stands at i; at stop it tries the next stride

@@ -214,6 +214,10 @@ def _window_cubics(draw):
     return [float(x) for x in np.real(np.poly(roots)) * scale]
 
 
+def _hex(roots):
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
 def _spread(roots):
     # the largest root's magnitude over the smallest's
     big, small = max(map(abs, roots)), min(map(abs, roots))
@@ -255,7 +259,10 @@ def _assert_own_digits(coeffs, got):
 @settings(max_examples=400, deadline=None)
 @given(_window_cubics())
 @example([1.0, 6.0, 11.0, 6.0])  # three real roots: trigonometric branch
-@example([1.0, 10.0, 29.0, 100.0])  # a conjugate pair: Cardano branch
+# the pair's Newton step divides by f'(z) by Smith's rule, on either branch
+@example([1.0, 10.0, 29.0, 100.0])  # a conjugate pair: Cardano branch; |Im f'| > |Re f'|, step kept
+@example(list(np.real(np.poly([-1.0, -0.9 + 2j, -0.9 - 2j]))))  # |Re f'| >= |Im f'|, step rejected
+@example([1.0, 1.0, 1.0, 1.0])  # (s + 1)(s^2 + 1): a pair with real part -0.0
 @example([1.0, -3.0, 3.0, -1.0])  # exact triple root
 @example(list(np.real(np.poly([-68.01146110603337, -68.01146720847196, -576.7387269287435]))))
 @example([1e-16, 1.0, 2.0, 3.0])  # the frozen solver's "negligible" leading coefficient
@@ -273,9 +280,23 @@ def test_cubic_inside_the_window_is_bit_identical_to_the_frozen_solver(coeffs):
     except FrozenDegenerate:
         frozen = None
     if frozen is not None and _spread(frozen) <= 2.0**20:
-        assert got == frozen
+        # by float.hex, which tells 0.0 from -0.0 where == does not
+        assert _hex(got) == _hex(frozen)
     else:
         _assert_own_digits(coeffs, got)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1.0, -0.0, 1.0, -0.0), (1.0, 0.0, 4.0, 0.0), (1299.562691622004, -0.0, 286939.53388117877, -0.0)],
+)
+def test_cubic_pair_beside_a_zero_root_keeps_the_frozen_solvers_zero_signs(coeffs):
+    # roots 0 and +-wj: the zero root's spread keeps these out of the
+    # property above, and the real root is taken again from the pair, but
+    # the pair keeps the frozen solver's bits, down to the -0.0 real parts
+    # that the (r, 0.0) terms of complex arithmetic decide
+    frozen = numerics.RootTriple(frozen_solve_cubic(*coeffs)).conjugate_pair()
+    assert _hex(solve_cubic(Cubic(*coeffs)).conjugate_pair()) == _hex(frozen)
 
 
 _HOSTILE = _signed(_magnitude(-150, 150))

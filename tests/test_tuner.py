@@ -593,12 +593,20 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     w_zeros_counted = counted(fractional_map, "w_zeros")
     for module in (fractional_map, tuner):
         monkeypatch.setattr(module, "w_zeros", w_zeros_counted)
-    for owner, name in (
-        (pole_placement, "solve_cubic"),
-        (tuner, "_cubic_roots"),
-        (tuner, "_zeta_slope"),
-    ):
+    for owner, name in ((pole_placement, "solve_cubic"), (tuner, "_cubic_roots")):
         monkeypatch.setattr(owner, name, counted(owner, name))
+    sloper = tuner._sloper
+
+    def counted_sloper(*design):
+        slope = sloper(*design)
+
+        def wrapper(*args):
+            calls["slope"] += 1
+            return slope(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tuner, "_sloper", counted_sloper)
 
     def counted_probe(probe):
         def wrapper(q):
@@ -617,7 +625,7 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
     # j+1 made 56 and a walk over every grid order 492; one slope per stride
     # end, and the public solver serves only the two Riccati packages
     assert calls["_cubic_roots"] == calls["_probe"] <= 37
-    assert 0 < calls["_zeta_slope"] < calls["_probe"]
+    assert 0 < calls["slope"] < calls["_probe"]
     assert calls["solve_cubic"] == 2
     tune_calls = calls.copy()
     points = mcurve(P1.plant, place_gains(P1.plant, P1.stage1), 1.3, 0.7, 0.01)
@@ -633,23 +641,70 @@ def test_walks_read_the_zero_angle_once_and_solve_without_cubic_calls(monkeypatc
 
 
 def test_each_call_binds_one_probe_and_reads_the_zero_angle_once(monkeypatch):
+    # two_stage_tune binds the slope once too, so the logs of the stage-1
+    # ki and kd are taken once however many stride ends it reads
     calls = Counter()
-    prober, zeros = tuner._prober, tuner.w_zeros
+    prober, sloper, rate_map, zeros = tuner._prober, tuner._sloper, tuner._rate_map, tuner.w_zeros
 
     def bind(*design):
         calls["_prober"] += 1
         return prober(*design)
+
+    def bind_slope(*design):
+        calls["_sloper"] += 1
+        return sloper(*design)
+
+    def bind_rates(*design):
+        calls["_rate_map"] += 1
+        return rate_map(*design)
 
     def read(gains):
         calls["w_zeros"] += 1
         return zeros(gains)
 
     monkeypatch.setattr(tuner, "_prober", bind)
+    monkeypatch.setattr(tuner, "_sloper", bind_slope)
+    monkeypatch.setattr(tuner, "_rate_map", bind_rates)
     monkeypatch.setattr(tuner, "w_zeros", read)
     two_stage_tune(P1.plant, P1.stage1, 0.93, q_step=0.0002, refine=True)
-    assert calls == {"_prober": 1, "w_zeros": 1}
+    assert calls == {"_prober": 1, "_sloper": 1, "_rate_map": 1, "w_zeros": 1}
     mcurve(P1.plant, P1.stage1_gains, 1.3, 0.7, 0.01)
-    assert calls == {"_prober": 2, "w_zeros": 2}
+    assert calls == {"_prober": 2, "_sloper": 1, "_rate_map": 1, "w_zeros": 2}
+
+
+def test_probe_cubics_with_a_complex_pair_call_no_solver_helper(monkeypatch):
+    # inside the scale window, a cubic with one real root and a complex pair
+    # runs straight through numerics._cubic_roots: the p1 stage-2 probes and
+    # under-damped M-curve points call none of its helpers, while the
+    # over-damped points (three real roots) and a rescaled cubic still do
+    seen = []
+    solve = tuner._cubic_roots
+    monkeypatch.setattr(tuner, "_cubic_roots", lambda *c: seen.append(c) or solve(*c))
+    two_stage_tune(P1.plant, P1.stage1, desired_zeta=0.93, q_step=0.0002, refine=True)
+    mcurve(P1.plant, P1.stage1_gains, 1.3, 0.7, 0.01)
+    paired = [any(z.imag != 0.0 for z in solve(*c)) for c in seen]
+    assert sum(paired) >= 80 and len(paired) - sum(paired) >= 5
+
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(numerics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_rescale_exponent", "_polish_real", "_deflated_pair"):
+        monkeypatch.setattr(numerics, name, counted(name))
+    for c, pair in zip(seen, paired):
+        calls.clear()
+        solve(*c)
+        assert calls == (Counter() if pair else Counter(_deflated_pair=1, _polish_real=2)), c
+    calls.clear()
+    solve(1.0, 1e20, 1.0, 1.0)  # roots near -1e20 and -5e-21 +- 1e-10j
+    assert calls["_rescale_exponent"] > 0 and calls["_deflated_pair"] == 1
 
 
 def test_the_bound_probe_raises_what_equivalent_pid_raises():
@@ -733,13 +788,13 @@ def test_zeta_slope_keeps_its_value_where_the_modulus_cubed_leaves_the_float_ran
     gains = P1.stage1_gains
     phi = w_zeros(gains).phi
     mapped, roots, _ = tuner._prober(P1.plant, gains, phi)(0.99)
-    dkp, dki, dkd = tuner._equivalent_rates(gains, phi, 0.99, mapped)
+    dkp, dki, dkd = tuner._rate_map(gains, phi)(0.99, mapped)
     base = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, roots)
     assert base < 0.0
     for c in (1e-110, 1e-120, 1e110, 1e120):
         size = c * min(map(abs, roots))  # the modulus of the dominant pair
         assert size * size * size in (0.0, math.inf)
-        monkeypatch.setattr(tuner, "_equivalent_rates", lambda *args: (dkp, dki * c, dkd / c))
+        monkeypatch.setattr(tuner, "_rate_map", lambda *design: lambda *args: (dkp, dki * c, dkd / c))
         slope = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, tuple(c * r for r in roots))
         assert slope == pytest.approx(base / (c * c), rel=1e-12), c
 
@@ -763,7 +818,7 @@ def test_stride_walks_where_the_slope_is_none(monkeypatch):
 
     for q_step in (0.001, 0.0002):
         by_slope = tune(q_step)
-        monkeypatch.setattr(tuner, "_zeta_slope", lambda *args: None)
+        monkeypatch.setattr(tuner, "_sloper", lambda *design: lambda *args: None)
         by_walk = tune(q_step)
         monkeypatch.undo()
         q, gains, _ = _reference_search(P1.plant, P1.stage1, 0.93, q_step, False)
