@@ -10,12 +10,15 @@ All numeric output uses 6 significant digits and is byte-deterministic.
 Every command writes each distinct warning once to stderr as
 ``warning: <message>``, before any ``error:`` line. Exit codes: 0 success,
 2 config or precondition error or an output file that cannot be written, 3
-unstable loop, 4 unreachable damping target.
+unstable loop, 4 unreachable damping target. The ``--out`` files are written
+before stdout; exit 2 on one of them leaves stdout empty and no file the call
+created.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -310,22 +313,12 @@ def _require_target(cfg: RunConfig) -> ClosedLoopTarget:
     return cfg.target
 
 
-def _write_text(path: str | None, text: str, out) -> None:
-    if path is None:
-        out.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its stdout text, as a list of parts, and its
+# --out files as {path: text}, where a None path is no file
 # ---------------------------------------------------------------------------
 
-def _cmd_place(cfg: RunConfig, args: argparse.Namespace, out) -> int:
+def _cmd_place(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], dict]:
     plant = _require_plant(cfg)
     target = _require_target(cfg)
     gains = place_gains(plant, target)
@@ -343,10 +336,7 @@ def _cmd_place(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         ("real pole", report.real_pole),
         ("dominance ratio", report.dominance_ratio),
     ])
-    if cfg.out is not None:
-        _write_text(cfg.out, text, out)
-    out.write(text)
-    return EXIT_OK
+    return [text], {cfg.out: text}
 
 
 def _riccati_entries(label: str, pkg: RiccatiPackage) -> list[tuple]:
@@ -370,7 +360,7 @@ def _tune_csv(report: TuningReport) -> str:
     ])
 
 
-def _cmd_tune(cfg: RunConfig, args: argparse.Namespace, out) -> int:
+def _cmd_tune(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], dict]:
     plant = _require_plant(cfg)
     target = _require_target(cfg)
     if cfg.desired_zeta is None:
@@ -383,9 +373,7 @@ def _cmd_tune(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         r=cfg.r,
         refine=cfg.refine,
     )
-    if cfg.out is not None:
-        _write_text(cfg.out, _tune_csv(report), out)
-    out.write(_render([
+    return [_render([
         ("plant", plant),
         ("stage 1 target", target),
         ("stage-1 gains", report.stage1_gains),
@@ -400,8 +388,7 @@ def _cmd_tune(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         ("cost verdict", report.cost_verdict),
         ("initial control (single-stage)", report.initial_control_lqr),
         ("initial control (suboptimal)", report.initial_control_subopt),
-    ]))
-    return EXIT_OK
+    ])], {cfg.out: _tune_csv(report)}
 
 
 def _mcurve_csv(points) -> str:
@@ -417,12 +404,12 @@ def _mcurve_csv(points) -> str:
     return _csv(MCURVE_HEADER, rows)
 
 
-def _cmd_mcurve(cfg: RunConfig, args: argparse.Namespace, out) -> int:
+def _cmd_mcurve(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], dict]:
     plant = _require_plant(cfg)
     stage1 = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     points = mcurve(plant, stage1, cfg.q_from, cfg.q_to, cfg.q_step)
-    _write_text(cfg.out, _mcurve_csv(points), out)
-    return EXIT_OK
+    text = _mcurve_csv(points)
+    return [text] if cfg.out is None else [], {cfg.out: text}
 
 
 def _trace_csv(trace: Trace) -> str:
@@ -450,7 +437,7 @@ def _out_path_for(base: str | None, label: str) -> str | None:
     return f"{base}-{label}"
 
 
-def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out) -> int:
+def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], dict]:
     plant = _require_plant(cfg)
 
     controllers: list[tuple[str, PidGains]] = []
@@ -517,24 +504,21 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, out) -> int:
     })]
     for label, gains, _trace, m in results:
         record += [(f"controller ({label})", gains), (f"metrics ({label})", _fields(m))]
-    # the trace files before stdout, so that a path that cannot be written
-    # leaves stdout empty
+    # each trace goes to its file, or without one to stdout after the report
     paths = [cfg.out] if len(results) == 1 else [_out_path_for(cfg.out, label) for label, *_ in results]
-    for path, (_label, _gains, trace, _m) in zip(paths, results):
-        if path is not None:
-            _write_text(path, _trace_csv(trace), out)
-    out.write(_render(record))
+    parts, files = [_render(record)], {}
     for path, (label, _gains, trace, _m) in zip(paths, results):
+        files[path] = text = _trace_csv(trace)
         if path is None:
             if len(results) > 1:
-                out.write(f"trace ({label}):\n")
-            out.write(_trace_csv(trace))
+                parts.append(f"trace ({label}):\n")
+            parts.append(text)
     if len(results) > 1:
-        out.write(_render([("comparison (first/second)", comparison)]))
-    return EXIT_OK
+        parts.append(_render([("comparison (first/second)", comparison)]))
+    return parts, files
 
 
-def _cmd_inverse(cfg: RunConfig, args: argparse.Namespace, out) -> int:
+def _cmd_inverse(cfg: RunConfig, args: argparse.Namespace) -> tuple[list[str], dict]:
     plant = _require_plant(cfg)
     gains = cfg.gains if cfg.gains is not None else place_gains(plant, _require_target(cfg))
     pkg = riccati_package(plant, gains, cfg.r)
@@ -544,10 +528,7 @@ def _cmd_inverse(cfg: RunConfig, args: argparse.Namespace, out) -> int:
         *_riccati_entries("inverse", pkg),
         ("care residual", pkg.care_residual),
     ])
-    if cfg.out is not None:
-        _write_text(cfg.out, text, out)
-    out.write(text)
-    return EXIT_OK
+    return [text], {cfg.out: text}
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +609,25 @@ def main(argv: list[str] | None = None, out=None) -> int:
         warnings.simplefilter("always", UserWarning)
         try:
             run, _help = _COMMANDS[args.command]
-            code = run(resolve_config(args), args, out)
+            parts, files = run(resolve_config(args), args)
+            # the files before stdout, so that exit 2 leaves stdout empty, and
+            # on a failed file none of those this call created
+            created = []
+            try:
+                for path, text in files.items():
+                    if path is not None:
+                        if not os.path.lexists(path):
+                            created.append(path)
+                        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                            handle.write(text)
+            except OSError as exc:
+                for path in created:
+                    with contextlib.suppress(OSError):
+                        os.remove(path)
+                raise ConfigError(f"cannot write output file: {exc}") from exc
+            out.writelines(parts)
             out.flush()
+            code = EXIT_OK
         except BrokenPipeError:
             # the reader closed stdout early, as `fracpid ... | head` does: end
             # quietly, with stdout bound to the null device so that the flush

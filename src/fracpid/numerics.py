@@ -395,6 +395,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return np.linalg.matrix_power(result, 2**squarings)
 
 
+def _step_count(span: float, step: float) -> int | float:
+    # whole steps of `step` in `span`: floor(span/step + 1e-9), where the
+    # slack keeps a ratio that rounds just below an integer on that integer;
+    # inf where the ratio overflows, for a cap check to report
+    steps = span / step + 1e-9
+    return math.floor(steps) if math.isfinite(steps) else steps
+
+
 def integrate_fixed_step(
     a: Sequence[Sequence[float]],
     c: Sequence[float],
@@ -420,7 +428,7 @@ def integrate_fixed_step(
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
 
-    n = int(math.floor(t_end / dt + 1e-9))
+    n = _step_count(t_end, dt)
     d = len(x0)
     gen = np.zeros((d + 1, d + 1))
     gen[:d] = np.column_stack((a, c))

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .numerics import NonFiniteState, integrate_fixed_step
+from .numerics import NonFiniteState, _step_count, integrate_fixed_step
 from .pole_placement import ClosedLoopTarget, PidGains, Plant, closed_loop_poles, place_gains
 
 __all__ = [
@@ -73,11 +73,10 @@ class ScenarioSpec:
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
         # the trace holds floor(t_end/dt) + 1 samples (see simulate_closed_loop)
-        steps = self.t_end / self.dt + 1e-9
+        steps = _step_count(self.t_end, self.dt)
         if steps >= MAX_SAMPLES:
-            count = int(steps) + 1 if math.isfinite(steps) else steps
             raise ValueError(
-                f"scenario of {count} samples exceeds the cap of {MAX_SAMPLES}"
+                f"scenario of {steps + 1} samples exceeds the cap of {MAX_SAMPLES}"
             )
         if self.disturbance_time is not None and not (
             0.0 <= self.disturbance_time <= self.t_end
@@ -166,7 +165,7 @@ def simulate_closed_loop(plant: Plant, gains: PidGains, scenario: ScenarioSpec) 
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     step = scenario.step_amplitude
     dt = scenario.dt
-    n_total = int(math.floor(scenario.t_end / dt + 1e-9))
+    n_total = _step_count(scenario.t_end, dt)
 
     # a zero load, -0.0 too, is no disturbance: d is +0 in every sample
     load = scenario.disturbance_amplitude or 0.0

@@ -23,7 +23,7 @@ from .fractional_map import (
     w_zeros,
 )
 from .lqr_inverse import RiccatiPackage, delta_p_eigenvalues, riccati_package
-from .numerics import _cubic_roots
+from .numerics import _cubic_roots, _step_count
 from .pole_placement import (
     ClosedLoopTarget,
     PidGains,
@@ -116,11 +116,10 @@ def _grid_size(q_from: float, q_to: float, q_step: float) -> int:
         raise ValueError("q grid must lie inside (0, 2]")
     if q_from < q_to:
         return 0
-    steps = (q_from - q_to) / q_step + 1e-9
+    steps = _step_count(q_from - q_to, q_step)
     if steps >= MAX_Q_POINTS:
-        count = int(steps) + 1 if math.isfinite(steps) else steps
-        raise ValueError(f"q grid of {count} points exceeds the cap of {MAX_Q_POINTS}")
-    return int(steps) + 1
+        raise ValueError(f"q grid of {steps + 1} points exceeds the cap of {MAX_Q_POINTS}")
+    return steps + 1
 
 
 def _prober(plant: Plant, stage1_gains: PidGains, phi: float):
@@ -187,18 +186,6 @@ def _sloper(plant: Plant, stage1_gains: PidGains, phi: float):
         return top / size
 
     return slope
-
-
-def _zeta_slope(
-    plant: Plant,
-    stage1_gains: PidGains,
-    phi: float,
-    q: float,
-    gains: tuple[float, float, float],
-    roots: tuple[complex, complex, complex],
-) -> float | None:
-    # the slope at one probe of a design not bound by _sloper
-    return _sloper(plant, stage1_gains, phi)(q, gains, roots)
 
 
 def mcurve(
@@ -285,7 +272,7 @@ def two_stage_tune(
     # the q_grid from 1 down to phi/pi, whose point k is 1 - k*q_step; at fine
     # steps it runs to thousands of orders, of which the search probes tens
     size = _grid_size(1.0, phi / math.pi, q_step)
-    stride = max(1, int(DEFAULT_Q_STEP / q_step + 1e-9))
+    stride = max(1, _step_count(DEFAULT_Q_STEP, q_step))
     seen = {}
 
     def look(k):

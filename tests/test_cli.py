@@ -498,6 +498,18 @@ def test_simulate_compare_runs_tuner(tmp_path):
     assert (tmp_path / "c-single-stage.csv").exists()
 
 
+def test_simulate_compare_leaves_no_trace_file_when_the_second_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "c-single-stage.csv").mkdir()
+    argv = ["simulate", "--preset", "p1", "--compare", "--out", str(tmp_path / "c.csv")]
+    assert run_cli(argv) == (2, "")
+    assert "error: cannot write output file: " in capsys.readouterr().err
+    assert list(tmp_path.glob("*-suboptimal.csv")) == []
+    # a path that existed before the call is never removed
+    (tmp_path / "c-suboptimal.csv").write_text("kept")
+    assert run_cli(argv) == (2, "")
+    assert (tmp_path / "c-suboptimal.csv").read_text().startswith("t,r,y,u,d\n")
+
+
 def test_simulate_default_disturbance_flag():
     code, text = run_cli(
         ["simulate", "--preset", "p1", "--t-end", "4.0", "--disturb"]

@@ -23,6 +23,7 @@ from fracpid import (
     simulate_closed_loop,
 )
 from fracpid.cli import PRESETS
+from fracpid.numerics import integrate_fixed_step
 from fracpid.simulate import DISTURBANCE_FRACTION, MAX_SAMPLES
 
 from cases import BENCHMARKS, OSCILLATORY
@@ -170,6 +171,26 @@ def test_scenario_validation():
 def test_scenario_caps_the_sample_count_before_sampling(t_end, dt, count):
     with pytest.raises(ValueError, match=f"^scenario of {count} samples exceeds the cap of {MAX_SAMPLES}$"):
         ScenarioSpec(t_end=t_end, dt=dt)
+
+
+@pytest.mark.parametrize("side", [-math.inf, math.inf], ids=["below", "above"])
+def test_step_count_agrees_one_ulp_off_an_integer(side, monkeypatch):
+    # dt a power of two keeps t_end/dt exact, so each horizon puts the ratio
+    # one ulp off an integer step count. The scenario cap, the trace length
+    # and integrate_fixed_step's sample count all read that integer.
+    monkeypatch.setattr("fracpid.simulate.MAX_SAMPLES", 400)
+    dt = 2.0**-8
+    for steps in (399, 400):
+        t_end = math.nextafter(float(steps), side) * dt
+        assert t_end / dt != steps
+        t, _ = integrate_fixed_step([[-1.0]], [0.0], [1.0], t_end, dt)
+        assert len(t) == steps + 1
+        if steps < 400:
+            trace = simulate_closed_loop(P1, P1_STAGE1, ScenarioSpec(t_end=t_end, dt=dt))
+            assert trace.t.size == steps + 1
+        else:
+            with pytest.raises(ValueError, match=f"^scenario of {steps + 1} samples exceeds the cap of 400$"):
+                ScenarioSpec(t_end=t_end, dt=dt)
 
 
 def test_overflowing_control_effort_is_a_typed_error():

@@ -728,7 +728,7 @@ def test_the_bound_probe_raises_what_equivalent_pid_raises():
 def _slope(plant, stage1_gains, q):
     phi = w_zeros(stage1_gains).phi
     mapped, roots, _ = tuner._prober(plant, stage1_gains, phi)(q)
-    return tuner._zeta_slope(plant, stage1_gains, phi, q, mapped, roots)
+    return tuner._sloper(plant, stage1_gains, phi)(q, mapped, roots)
 
 
 def _mp_zeta(plant, stage1_gains, q):
@@ -778,7 +778,7 @@ def test_zeta_slope_is_none_where_its_sign_is_not_certain():
         phi = w_zeros(gains).phi
         mapped, roots, _ = tuner._prober(P1.plant, gains, phi)(1.0)
         assert any(r.imag != 0.0 for r in roots) is pair
-        assert tuner._zeta_slope(P1.plant, gains, phi, 1.0, mapped, roots) is None
+        assert tuner._sloper(P1.plant, gains, phi)(1.0, mapped, roots) is None
 
 
 def test_zeta_slope_keeps_its_value_where_the_modulus_cubed_leaves_the_float_range(monkeypatch):
@@ -789,13 +789,13 @@ def test_zeta_slope_keeps_its_value_where_the_modulus_cubed_leaves_the_float_ran
     phi = w_zeros(gains).phi
     mapped, roots, _ = tuner._prober(P1.plant, gains, phi)(0.99)
     dkp, dki, dkd = tuner._rate_map(gains, phi)(0.99, mapped)
-    base = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, roots)
+    base = tuner._sloper(P1.plant, gains, phi)(0.99, mapped, roots)
     assert base < 0.0
     for c in (1e-110, 1e-120, 1e110, 1e120):
         size = c * min(map(abs, roots))  # the modulus of the dominant pair
         assert size * size * size in (0.0, math.inf)
         monkeypatch.setattr(tuner, "_rate_map", lambda *design: lambda *args: (dkp, dki * c, dkd / c))
-        slope = tuner._zeta_slope(P1.plant, gains, phi, 0.99, mapped, tuple(c * r for r in roots))
+        slope = tuner._sloper(P1.plant, gains, phi)(0.99, mapped, tuple(c * r for r in roots))
         assert slope == pytest.approx(base / (c * c), rel=1e-12), c
 
 
